@@ -9,8 +9,12 @@ Representation notes:
 - Nodes live in flat parallel tuples indexed by node id.  Ids are pre-order
   positions, so every child id is strictly greater than its parent id and a
   subtree occupies a contiguous id range.  Bottom-up passes are therefore a
-  single reversed loop over ``range(len(tree))``; no recursion anywhere, so
-  degenerate caterpillar trees with a million leaves are fine.
+  single reversed loop over ``range(len(tree))``.  ``parse_cotree`` appends
+  nodes as it reads them; ``normalize``, ``subtree``, ``union`` and ``join``
+  copy id ranges with shifted ids.  Only ``from_nested`` reads nested input.
+- No Python recursion, but ``canonical_key`` / ``shape_key`` return nested
+  tuples whose comparison recurses in C: ``shape_key`` of a join of two
+  equally shaped caterpillars raises ``RecursionError`` (ROADMAP item 5).
 - ``Cotree`` and ``Graph`` values are immutable after construction and safe to
   share between threads.  All operations here are pure functions.
 - Child order is preserved but carries no meaning; use ``canonical_key`` /
@@ -241,36 +245,36 @@ def join(*trees: Cotree) -> Cotree:
 def _combine(kind: str, trees: tuple[Cotree, ...]) -> Cotree:
     if len(trees) < 2:
         raise ValueError("need at least two cotrees to combine")
-    return from_nested((kind, [_nested_of(t, t.root) for t in trees]))
+    kinds: list[str] = [kind]
+    children: list[tuple[int, ...]] = [()]
+    labels: list[str | None] = [None]
+    roots: list[int] = []
+    for t in trees:
+        shift = len(kinds)
+        roots.append(shift)
+        kinds.extend(t.kinds)
+        children.extend(tuple(c + shift for c in ch) for ch in t.children)
+        labels.extend(t.labels)
+    children[0] = tuple(roots)
+    combined = Cotree(tuple(kinds), tuple(children), tuple(labels))
+    combined.validate()  # rejects clashing labels
+    return combined
 
 
-def _dfs_order(t: Cotree, root: int) -> list[int]:
-    order = []
-    stack = [root]
-    children = t.children
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(children[v])
-    return order
-
-
-def _nested_of(t: Cotree, root: int):
-    order = _dfs_order(t, root)
-    res: dict[int, object] = {}
-    for v in reversed(order):
-        if t.kinds[v] == LEAF:
-            res[v] = t.labels[v]
-        else:
-            res[v] = (t.kinds[v], [res[c] for c in t.children[v]])
-    return res[root]
+def _subtree_end(t: Cotree, v: int) -> int:
+    """One past the last id of v's subtree, which occupies ids v … end-1."""
+    while t.children[v]:
+        v = t.children[v][-1]
+    return v + 1
 
 
 def subtree(t: Cotree, v: int) -> Cotree:
     """The cotree rooted at node v, re-indexed from 0."""
     if not 0 <= v < len(t):
         raise ValueError(f"node id {v} out of range")
-    return from_nested(_nested_of(t, v))
+    end = _subtree_end(t, v)
+    children = tuple(tuple(c - v for c in ch) for ch in t.children[v:end])
+    return Cotree(t.kinds[v:end], children, t.labels[v:end])
 
 
 # ---------------------------------------------------------------------------
@@ -284,23 +288,21 @@ def parse_cotree(text: str) -> Cotree:
     """
     pos = 0
     end = len(text)
-    stack: list[tuple[str, list]] = []
-    top = None
-    have_top = False
+    kinds: list[str] = []
+    children: list[list[int] | tuple[()]] = []
+    labels: list[str | None] = []
+    stack: list[int] = []  # ids of the open inner nodes
     seen: set[str] = set()
 
     def fail(message: str, at: int):
         raise CotreeParseError(message, len(text[:at].encode("utf-8")))
 
-    def attach(node, at: int) -> None:
-        nonlocal top, have_top
+    def add(kind: str, label: str | None) -> None:
         if stack:
-            stack[-1][1].append(node)
-        elif have_top:
-            fail("trailing content after complete cotree", at)
-        else:
-            top = node
-            have_top = True
+            children[stack[-1]].append(len(kinds))
+        kinds.append(kind)
+        children.append(() if label is not None else [])
+        labels.append(label)
 
     while pos < end:
         ch = text[pos]
@@ -308,7 +310,7 @@ def parse_cotree(text: str) -> Cotree:
             pos += 1
             continue
         if ch == "(":
-            if not stack and have_top:
+            if not stack and kinds:
                 fail("trailing content after complete cotree", pos)
             pos += 1
             while pos < end and text[pos] in _WS:
@@ -319,14 +321,13 @@ def parse_cotree(text: str) -> Cotree:
             kind = _KIND_OF_OP.get(text[start:pos])
             if kind is None:
                 fail("expected operator U or J after '('", start)
-            stack.append((kind, []))
+            add(kind, None)
+            stack.append(len(kinds) - 1)
         elif ch == ")":
             if not stack:
                 fail("unbalanced ')'", pos)
-            kind, kids = stack.pop()
-            if not kids:
+            if not children[stack.pop()]:
                 fail("empty node: operator without children", pos)
-            attach((kind, kids), pos)
             pos += 1
         elif ch in _LEAF_CHARS:
             start = pos
@@ -336,14 +337,16 @@ def parse_cotree(text: str) -> Cotree:
             if label in seen:
                 fail(f"duplicate leaf label {label!r}", start)
             seen.add(label)
-            attach(label, start)
+            if not stack and kinds:
+                fail("trailing content after complete cotree", start)
+            add(LEAF, label)
         else:
             fail(f"unexpected character {ch!r}", pos)
     if stack:
         fail("unexpected end of input: unclosed '('", end)
-    if not have_top:
+    if not kinds:
         fail("empty input", 0)
-    return from_nested(top)
+    return Cotree(tuple(kinds), tuple(map(tuple, children)), tuple(labels))
 
 
 def to_text(t: Cotree) -> str:
@@ -423,22 +426,32 @@ def normalize(t: Cotree) -> Cotree:
     """Collapse unary nodes and flatten same-kind nesting.
 
     Idempotent; the induced graph is unchanged (leaves keep their labels).
+    Contraction keeps the pre-order of the remaining nodes, so this is one
+    forward pass; a tree that is already normalized is returned as is.
     """
-    res: list[object] = [None] * len(t)
-    for v in range(len(t) - 1, -1, -1):
-        kind = t.kinds[v]
-        if kind == LEAF:
-            res[v] = t.labels[v]
-            continue
-        merged: list[object] = []
-        for c in t.children[v]:
-            r = res[c]
-            if isinstance(r, tuple) and r[0] == kind:
-                merged.extend(r[1])
-            else:
-                merged.append(r)
-        res[v] = merged[0] if len(merged) == 1 else (kind, merged)
-    return from_nested(res[t.root])
+    kinds, children, labels = t.kinds, t.children, t.labels
+    up = [-1] * len(t)  # new id of each node's nearest kept proper ancestor
+    out_kinds: list[str] = []
+    out_children: list[list[int] | tuple[()]] = []
+    out_labels: list[str | None] = []
+    for v in range(len(t)):
+        kind = kinds[v]
+        anchor = up[v]
+        # kept: leaves, and branching nodes whose kind differs from the anchor's
+        if kind == LEAF or (
+            len(children[v]) >= 2 and (anchor < 0 or out_kinds[anchor] != kind)
+        ):
+            if anchor >= 0:
+                out_children[anchor].append(len(out_kinds))
+            anchor = len(out_kinds)
+            out_kinds.append(kind)
+            out_children.append(() if kind == LEAF else [])
+            out_labels.append(labels[v])
+        for c in children[v]:
+            up[c] = anchor
+    if len(out_kinds) == len(t):
+        return t
+    return Cotree(tuple(out_kinds), tuple(map(tuple, out_children)), tuple(out_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +536,8 @@ def shape_key(t: Cotree, root: int | None = None):
 
 
 def _key(t: Cotree, root: int, with_labels: bool):
-    order = _dfs_order(t, root)
     res: dict[int, tuple] = {}
-    for v in reversed(order):
+    for v in reversed(range(root, _subtree_end(t, root))):
         if t.kinds[v] == LEAF:
             res[v] = ("L", t.labels[v]) if with_labels else ("L",)
         else:
@@ -545,6 +557,4 @@ def node_paths(t: Cotree) -> tuple[str, ...]:
 
 def subtree_leaf_labels(t: Cotree, v: int) -> tuple[str, ...]:
     """Labels of the leaves under node v, in id order."""
-    return tuple(
-        t.labels[w] for w in sorted(_dfs_order(t, v)) if t.kinds[w] == LEAF
-    )
+    return tuple(lbl for lbl in t.labels[v : _subtree_end(t, v)] if lbl is not None)

@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .cotree import JOIN, UNION, Cotree, from_nested, leaf, normalize
-
-_OPPOSITE = {UNION: JOIN, JOIN: UNION}
+from .cotree import _KIND_OF_OP, _OPPOSITE
 
 
 @dataclass(frozen=True)
@@ -109,8 +108,6 @@ def random_corpus(count: int, max_leaves: int, seed: int) -> Iterator[Cotree]:
 
 _ENUMERATION_GUARD = 10
 _L = ("L",)
-_OP = {UNION: "U", JOIN: "J"}
-_KIND = {"U": UNION, "J": JOIN}
 
 
 def enumerate_cotrees(max_leaves: int) -> Iterator[Cotree]:
@@ -178,6 +175,6 @@ def _shape_to_cotree(shape: tuple) -> Cotree:
             lbl = f"v{counter}"
             counter += 1
             return lbl
-        return (_KIND[s[0]], [conv(child) for child in s[1:]])
+        return (_KIND_OF_OP[s[0]], [conv(child) for child in s[1:]])
 
     return from_nested(conv(shape))

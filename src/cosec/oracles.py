@@ -30,6 +30,7 @@ from .cotree import (
     materialize,
     normalize,
     subtree,
+    subtree_leaf_labels,
 )
 from .errors import BudgetExceededError, NotAJoinError
 
@@ -206,7 +207,7 @@ def label_r_definitional(
     mats: dict[int, Graph] = {}
 
     def graph_of(v: int, check: str, cap: int) -> Graph:
-        size = sum(1 for w in _subtree_nodes(t, v) if t.is_leaf(w))
+        size = len(subtree_leaf_labels(t, v))
         if size > cap:
             raise BudgetExceededError(check, size, cap)
         if v not in mats:
@@ -237,14 +238,6 @@ def label_r_structural(t: Cotree, u: int) -> bool:
         return False
     full = g.full_mask
     return any(is_clique(g, full & ~g.closed_mask(w)) for w in range(g.n))
-
-
-def _subtree_nodes(t: Cotree, root: int):
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        yield v
-        stack.extend(t.children[v])
 
 
 def _is_connected(g: Graph) -> bool:

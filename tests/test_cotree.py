@@ -5,6 +5,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from cosec.annotate import annotate
 from cosec.cotree import (
     JOIN,
     LEAF,
@@ -81,6 +82,8 @@ def test_operator_names_are_legal_leaf_labels():
         ("(U)", 2, "empty node"),
         ("(U a) b", 6, "trailing content"),
         ("a b", 2, "trailing content"),
+        ("(U a) ,", 6, "unexpected character"),
+        ("a a", 2, "duplicate leaf label"),
         ("(U a,b)", 4, "unexpected character"),
         ("", 0, "empty input"),
         ("   ", 0, "empty input"),
@@ -300,6 +303,52 @@ def test_subtree_reindexes_from_zero():
     sub.validate()
     with pytest.raises(ValueError):
         subtree(t, 99)
+
+
+@given(cotrees(prefix="v"), cotrees(prefix="w"))
+@settings(deadline=None)
+def test_array_constructors_match_their_definitions(t1, t2):
+    for v in range(len(t1)):
+        sub = subtree(t1, v)
+        sub.validate()
+        assert canonical_key(sub) == canonical_key(t1, v)
+        assert tuple(sub.labels[w] for w in sub.leaves()) == subtree_leaf_labels(t1, v)
+    assert to_text(join(t1, t2)) == f"(J {to_text(t1)} {to_text(t2)})"
+    assert to_text(union(t1, t2)) == f"(U {to_text(t1)} {to_text(t2)})"
+
+
+def test_deep_unnormalized_caterpillar_end_to_end():
+    # 10**5 nested levels: the kind flips at two steps in three (the third
+    # repeats its parent's kind) and every other level is a unary wrapper.
+    levels = 100_000
+    parts, spine, kind = [], [], UNION
+    for i in range(levels):
+        if i % 3 != 2:
+            kind = JOIN if kind == UNION else UNION
+        op = "J" if kind == JOIN else "U"
+        if i % 2:
+            parts.append(f"({op} ")
+        else:
+            parts.append(f"({op} x{i} ")
+            spine.append(kind)
+    t = parse_cotree("".join(parts) + "end" + ")" * levels)
+    assert len(t) == levels + len(spine) + 1
+
+    tn = normalize(t)
+    assert is_normalized(tn)
+    # one inner node per run of equal kinds along the branching spine levels
+    runs = 1 + sum(a != b for a, b in zip(spine, spine[1:]))
+    assert len(tn) - tn.n_leaves() == runs
+    assert [tn.labels[v] for v in tn.leaves()] == [t.labels[v] for v in t.leaves()]
+    assert annotate(tn).node(tn.root).size == len(spine) + 1
+
+    text = to_text(tn)
+    assert parse_cotree(text) == tn
+    mid = next(v for v in range(len(tn) // 2, len(tn)) if not tn.is_leaf(v))
+    sub = subtree(tn, mid)
+    assert len(sub) == len(tn) - mid  # a caterpillar's spine node owns the rest
+    assert to_text(sub) in text
+    assert subtree_leaf_labels(tn, mid) == tuple(sub.labels[w] for w in sub.leaves())
 
 
 def test_subtree_leaf_labels():
