@@ -14,6 +14,9 @@ Exit codes are a stable contract:
 ``COSEC_BUDGET`` overrides the default oracle caps; the value is either a
 single integer applied to both caps or ``DOM,SECURE``.  A ``--budget`` flag
 beats the environment.
+
+``annotate`` (table and ``--json``) and ``parse --json`` stream their output
+in batches of nodes straight from the cotree and annotation arrays.
 """
 
 from __future__ import annotations
@@ -24,18 +27,19 @@ import os
 import statistics
 import sys
 import time
+from contextlib import redirect_stdout
+from itertools import islice
 
 from .annotate import annotate
 from .cotree import (
     JOIN,
     UNION,
+    _iter_node_paths,
     materialize,
-    node_paths,
     normalize,
     parse_cotree,
     subtree,
     to_dot,
-    to_json,
     to_text,
 )
 from .errors import BudgetExceededError, CotreeParseError
@@ -86,64 +90,104 @@ def cmd_parse(args) -> int:
     if args.dot:
         sys.stdout.write(to_dot(t))
     elif args.json:
-        print(json.dumps(to_json(t), indent=2))
+        _write_tree_json(t)
     else:
         print(to_text(t))
     return EXIT_OK
 
 
-_NA = "-"
+# The writers give the bytes of ``json.dumps(..., indent=2)`` and of the padded
+# table, _BATCH nodes per write: none holds its whole output or a string per node.
+_BATCH = 4096
+_JSON_LITERAL = {None: "null", True: "true", False: "false"}
+_CELL = {None: "-", True: "yes", False: "no"}
+_TABLE_HEADER = (
+    "id path kind size clique gamma label_r two_cliques p_original p_corrected".split()
+)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return _NA
-    if value is True:
-        return "yes"
-    if value is False:
-        return "no"
-    return str(value)
+def _write_batched(head: str, parts, sep: str, tail: str) -> None:
+    """Write ``head + sep.join(parts) + tail`` to stdout, _BATCH parts per write."""
+    write = sys.stdout.write
+    write(head)
+    lead = ""
+    while batch := list(islice(parts, _BATCH)):
+        write(lead)
+        write(sep.join(batch))
+        lead = sep
+    write(tail)
+
+
+def _json_ids(ids) -> str:
+    """A node's id list as ``json.dumps(indent=2)`` lays out a node field."""
+    return "[\n        " + ",\n        ".join(map(str, ids)) + "\n      ]" if ids else "[]"
+
+
+def _write_tree_json(t) -> None:
+    """``print(json.dumps(to_json(t), indent=2))``.  Labels come from
+    ``parse_cotree``, whose ``[A-Za-z0-9_]`` alphabet needs no JSON escaping."""
+    kinds, labels, children = t.kinds, t.labels, t.children
+
+    def node(v: int) -> str:
+        label = "null" if labels[v] is None else f'"{labels[v]}"'
+        return (
+            f'    {{\n      "id": {v},\n      "kind": "{kinds[v]}",\n      "label": {label},'
+            f'\n      "children": {_json_ids(children[v])}\n    }}'
+        )
+
+    head = f'{{\n  "root": {t.root},\n  "nodes": [\n'
+    _write_batched(head, map(node, range(len(t))), ",\n", "\n  ]\n}\n")
+
+
+def _write_annotations_json(t, at) -> None:
+    """``print(json.dumps({"nodes": at.to_json_nodes()}, indent=2))``."""
+    kinds, children, lit = t.kinds, t.children, _JSON_LITERAL
+
+    def node(v: int) -> str:
+        return (
+            f'    {{\n      "id": {v},\n      "kind": "{kinds[v]}",\n'
+            f'      "children": {_json_ids(children[v])},\n      "size": {at._size[v]},\n'
+            f'      "is_clique": {lit[at._clique[v]]},\n      "gamma": {at._gamma[v]},\n'
+            f'      "label_r": {lit[at._lr[v]]},\n'
+            f'      "union_of_two_cliques": {lit[at._u2c[v]]},\n'
+            f'      "p_original": {lit[at._po[v]]},\n'
+            f'      "p_corrected": {lit[at._pc[v]]}\n    }}'
+        )
+
+    head = '{\n  "nodes": [\n'
+    _write_batched(head, map(node, range(len(t))), ",\n", "\n  ]\n}\n")
+
+
+def _write_table(t, at) -> None:
+    """One row per node; each column as wide as its widest cell or header."""
+    yes_no = max(map(len, _CELL.values()))
+    widest = (
+        len(str(len(t) - 1)),
+        max(map(len, _iter_node_paths(t))),
+        max(map(len, t.kinds)),
+        len(str(max(at._size))),
+        yes_no,
+        len(str(max(at._gamma))),
+        *[yes_no] * 4,
+    )
+    row = "  ".join(f"%-{max(len(h), w)}s" for h, w in zip(_TABLE_HEADER, widest))
+    cell = _CELL.__getitem__
+    flags = (map(cell, f) for f in (at._lr, at._u2c, at._po, at._pc))
+    rows = zip(
+        range(len(t)), _iter_node_paths(t), t.kinds, at._size,
+        map(cell, at._clique), at._gamma, *flags,
+    )
+    head = (row % tuple(_TABLE_HEADER)).rstrip() + "\n"
+    _write_batched(head, map(str.rstrip, map(row.__mod__, rows)), "\n", "\n")
 
 
 def cmd_annotate(args) -> int:
     t = normalize(parse_cotree(_read_source(args.file)))
     at = annotate(t)
     if args.json:
-        print(json.dumps({"nodes": at.to_json_nodes()}, indent=2))
+        _write_annotations_json(t, at)
     else:
-        paths = node_paths(t)
-        header = (
-            "id",
-            "path",
-            "kind",
-            "size",
-            "clique",
-            "gamma",
-            "label_r",
-            "two_cliques",
-            "p_original",
-            "p_corrected",
-        )
-        rows = [header]
-        for v in range(len(t)):
-            a = at.node(v)
-            rows.append(
-                (
-                    str(v),
-                    paths[v],
-                    t.kinds[v],
-                    str(a.size),
-                    _fmt(a.is_clique),
-                    str(a.gamma),
-                    _fmt(a.label_r),
-                    _fmt(a.union_of_two_cliques),
-                    _fmt(a.p_original),
-                    _fmt(a.p_corrected),
-                )
-            )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        for r in rows:
-            print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+        _write_table(t, at)
     if args.oracle_check:
         budget = _resolve_budget(args.budget)
         problems = _oracle_check(t, at, budget)
@@ -157,28 +201,23 @@ def cmd_annotate(args) -> int:
 
 def _oracle_check(t, at, budget) -> list[str]:
     """Recompute gamma, label ℛ, and the join predicate definitionally."""
+    cap = budget.max_vertices_domination
+    if at._size[t.root] > cap:  # the largest graph: refuse before building any
+        raise BudgetExceededError("domination_number", at._size[t.root], cap)
     problems = []
-    paths = node_paths(t)
+
+    def compare(fact: str, v: int, oracle, got) -> None:
+        if oracle != got:  # only a reported node needs its path
+            path = next(islice(_iter_node_paths(t), v, None))
+            problems.append(f"{fact} at {path}: oracle {oracle}, pass {got}")
+
     for v in range(len(t)):
         sub = subtree(t, v)
-        oracle_gamma = domination_number(materialize(sub), budget)
-        if oracle_gamma != at._gamma[v]:
-            problems.append(
-                f"gamma at {paths[v]}: oracle {oracle_gamma}, pass {at._gamma[v]}"
-            )
-        kind = t.kinds[v]
-        if kind == UNION:
-            defn = label_r_definitional(t, v, budget)
-            if defn != at._lr[v]:
-                problems.append(
-                    f"label_r at {paths[v]}: oracle {defn}, pass {at._lr[v]}"
-                )
-        elif kind == JOIN:
-            defn = property_p_definitional(sub)
-            if defn != at._pc[v]:
-                problems.append(
-                    f"p_corrected at {paths[v]}: oracle {defn}, pass {at._pc[v]}"
-                )
+        compare("gamma", v, domination_number(materialize(sub), budget), at._gamma[v])
+        if t.kinds[v] == UNION:
+            compare("label_r", v, label_r_definitional(t, v, budget), at._lr[v])
+        elif t.kinds[v] == JOIN:
+            compare("p_corrected", v, property_p_definitional(sub), at._pc[v])
     return problems
 
 
@@ -209,23 +248,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
+def _median_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be positive integers")
-    print(f"{'leaves':>10}  {'nodes':>10}  {'median_ms':>12}  {'ns_per_node':>12}")
+    print(
+        f"{'leaves':>10}  {'nodes':>10}  {'median_ms':>12}  {'ns_per_node':>12}  "
+        f"{'table_ns':>10}  {'json_ns':>10}"
+    )
     for size in sizes:
         t = random_cotree(RandomSpec(leaf_count=size, seed=args.seed))
-        times = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            annotate(t)
-            times.append(time.perf_counter() - start)
-        median_s = statistics.median(times)
-        ns_per_node = median_s * 1e9 / len(t)
+        median_s = _median_s(lambda: annotate(t), args.repeats)
+        at = annotate(t)
+        with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+            table_s = _median_s(lambda: _write_table(t, at), args.repeats)
+            json_s = _median_s(lambda: _write_annotations_json(t, at), args.repeats)
+        per_node = 1e9 / len(t)
         print(
             f"{size:>10}  {len(t):>10}  {median_s * 1000.0:>12.2f}  "
-            f"{ns_per_node:>12.0f}"
+            f"{median_s * per_node:>12.0f}  {table_s * per_node:>10.0f}  "
+            f"{json_s * per_node:>10.0f}"
         )
     return EXIT_OK
 

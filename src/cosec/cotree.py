@@ -547,12 +547,22 @@ def _key(t: Cotree, root: int, with_labels: bool):
 
 def node_paths(t: Cotree) -> tuple[str, ...]:
     """Human-readable child-index path per node, e.g. "root.1.0"."""
-    paths = [""] * len(t)
-    paths[t.root] = "root"
+    return tuple(_iter_node_paths(t))
+
+
+def _iter_node_paths(t: Cotree) -> Iterator[str]:
+    """``node_paths`` one at a time, in id order, holding only the current
+    path's components: O(depth) memory rather than O(n·depth)."""
+    step = [0] * len(t)  # each node's index among its parent's children
+    depth = [0] * len(t)
+    chain: list[str] = []
     for v in range(len(t)):
+        del chain[depth[v] :]
+        chain.append(str(step[v]) if depth[v] else "root")
+        yield ".".join(chain)
         for i, c in enumerate(t.children[v]):
-            paths[c] = f"{paths[v]}.{i}"
-    return tuple(paths)
+            step[c] = i
+            depth[c] = depth[v] + 1
 
 
 def subtree_leaf_labels(t: Cotree, v: int) -> tuple[str, ...]:

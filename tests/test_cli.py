@@ -3,11 +3,14 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from cosec.annotate import annotate
 from cosec.cli import main
+from cosec.cotree import node_paths, parse_cotree
 
 from helpers import cosec_subprocess_env
 
@@ -154,6 +157,44 @@ def test_annotate_oracle_check_reports_mismatches(capsys, g1_file, monkeypatch):
     assert "MISMATCH" in err
 
 
+def test_annotate_oracle_check_refuses_a_large_tree_before_building_it(
+    capsys, tmp_path
+):
+    leaves = 20_000
+    text = "".join(f"({'UJ'[i % 2]} x{i} " for i in range(leaves - 2))
+    p = tmp_path / "caterpillar.cotree"
+    p.write_text(text + "(U a b" + ")" * (leaves - 1))
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "annotate", str(p), "--json", "--oracle-check")
+    assert rc == 4
+    assert err == (
+        "error: domination_number oracle budget exceeded: "
+        "graph has 20000 vertices, cap is 20\n"
+    )
+    # building the whole tree's graph, as the check once did, takes minutes
+    assert time.perf_counter() - start < 60
+
+
+def test_oracle_check_mismatch_paths_match_node_paths(capsys, tmp_path, monkeypatch):
+    import cosec.cli
+
+    # every node is reported, with paths through a multi-digit child index
+    monkeypatch.setattr(cosec.cli, "domination_number", lambda g, budget: 0)
+    text = "(J (U a b (J c d) e f g h i j k (J l m)) (U n (J o (U p q))))"
+    p = tmp_path / "t.cotree"
+    p.write_text(text)
+    rc, _, err = run(capsys, "annotate", str(p), "--oracle-check")
+    assert rc == 3
+    t = parse_cotree(text)
+    gamma = annotate(t)._gamma
+    paths = node_paths(t)
+    assert "root.0.10.1" in paths
+    expected = [
+        f"MISMATCH gamma at {paths[v]}: oracle 0, pass {gamma[v]}" for v in range(len(t))
+    ]
+    assert err.splitlines() == expected
+
+
 # ---------------------------------------------------------------------------
 # gk
 
@@ -233,6 +274,17 @@ def test_bench_prints_a_row_per_size(capsys):
     lines = out.splitlines()
     assert "ns_per_node" in lines[0]
     assert len(lines) == 3
+
+
+def test_bench_times_the_writers_into_a_sink(capsys):
+    rc, out, _ = run(capsys, "bench", "--sizes", "30", "--repeats", "1")
+    assert rc == 0
+    header, row = out.splitlines()
+    assert header.split() == [
+        "leaves", "nodes", "median_ms", "ns_per_node", "table_ns", "json_ns"
+    ]
+    cells = row.split()
+    assert len(cells) == 6 and all(float(x) > 0 for x in cells[3:])
 
 
 def test_bench_rejects_bad_sizes(capsys):

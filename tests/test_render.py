@@ -1,0 +1,145 @@
+"""Byte identity of the streaming writers behind ``cosec annotate`` and
+``cosec parse --json`` with the reference renderers they replaced: one
+``json.dumps(..., indent=2)`` of ``to_json``/``to_json_nodes`` and the
+row-list table builder, kept here verbatim."""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from cosec.annotate import annotate
+from cosec.cli import _BATCH, main
+from cosec.cotree import node_paths, normalize, parse_cotree, to_json, to_text
+from cosec.generators import RandomSpec, random_cotree
+
+from strategies import cotrees
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if value is True:
+        return "yes"
+    if value is False:
+        return "no"
+    return str(value)
+
+
+def reference_table(t) -> str:
+    at = annotate(t)
+    paths = node_paths(t)
+    header = (
+        "id",
+        "path",
+        "kind",
+        "size",
+        "clique",
+        "gamma",
+        "label_r",
+        "two_cliques",
+        "p_original",
+        "p_corrected",
+    )
+    rows = [header]
+    for v in range(len(t)):
+        a = at.node(v)
+        rows.append(
+            (
+                str(v),
+                paths[v],
+                t.kinds[v],
+                str(a.size),
+                _fmt(a.is_clique),
+                str(a.gamma),
+                _fmt(a.label_r),
+                _fmt(a.union_of_two_cliques),
+                _fmt(a.p_original),
+                _fmt(a.p_corrected),
+            )
+        )
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+        for r in rows
+    )
+
+
+def reference_outputs(text: str) -> dict[tuple[str, ...], str]:
+    """Expected stdout per argument list, from the reference renderers."""
+    raw = parse_cotree(text)
+    t = normalize(raw)
+    return {
+        ("annotate",): reference_table(t),
+        ("annotate", "--json"): json.dumps(
+            {"nodes": annotate(t).to_json_nodes()}, indent=2
+        )
+        + "\n",
+        ("parse", "--json"): json.dumps(to_json(raw), indent=2) + "\n",
+        ("parse", "--json", "--normalize"): json.dumps(to_json(t), indent=2) + "\n",
+    }
+
+
+def assert_writers_match_references(path, text: str) -> None:
+    path.write_text(text)
+    for args, expected in reference_outputs(text).items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            rc = main([args[0], str(path), *args[1:]])
+        assert rc == 0
+        assert out.getvalue() == expected, args
+
+
+@given(st.sampled_from(("v", "Z_", "_9x")).flatmap(cotrees))
+@settings(deadline=None, max_examples=150)
+def test_writers_match_reference_renderers(tmp_path_factory, t):
+    path = tmp_path_factory.mktemp("render") / "t.cotree"
+    assert_writers_match_references(path, to_text(t))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # exactly two batches: a join of 2·_BATCH - 1 leaves
+        "(J " + " ".join(f"x{i}" for i in range(2 * _BATCH - 1)) + ")",
+        # more than two batches, with paths of mixed widths
+        to_text(random_cotree(RandomSpec(leaf_count=2 * _BATCH, seed=5))),
+    ],
+    ids=["two-batches", "more-than-two-batches"],
+)
+def test_writers_match_references_across_batches(tmp_path, text):
+    assert len(normalize(parse_cotree(text))) >= 2 * _BATCH
+    assert_writers_match_references(tmp_path / "t.cotree", text)
+
+
+class _CountingSink(io.TextIOBase):
+    """Discards what is written; keeps the node record count and the end."""
+
+    def __init__(self):
+        self.records = 0
+        self.tail = ""
+
+    def write(self, s: str) -> int:
+        self.records += s.count('"id": ')
+        self.tail = (self.tail + s)[-16:]
+        return len(s)
+
+
+def test_annotate_json_on_a_deep_caterpillar(tmp_path):
+    levels = 100_000
+    text = (
+        "".join(f"({'UJ'[i % 2]} x{i} " for i in range(levels))
+        + "end"
+        + ")" * levels
+    )
+    path = tmp_path / "deep.cotree"
+    path.write_text(text)
+    sink = _CountingSink()
+    with redirect_stdout(sink):
+        rc = main(["annotate", "--json", str(path)])
+    assert rc == 0
+    assert sink.records == 2 * levels + 1
+    assert sink.tail.endswith('}\n  ]\n}\n')
