@@ -35,10 +35,10 @@ from .cotree import (
     JOIN,
     UNION,
     _iter_node_paths,
+    _subtree_graphs,
     materialize,
     normalize,
     parse_cotree,
-    subtree,
     to_dot,
     to_text,
 )
@@ -48,8 +48,8 @@ from .oracles import (
     DEFAULT_BUDGET,
     OracleBudget,
     domination_number,
-    label_r_definitional,
-    property_p_definitional,
+    label_r_definitional_graphs,
+    property_p_definitional_graph,
 )
 from .verify import report_json, report_text, verify_corpora
 
@@ -98,7 +98,10 @@ def cmd_parse(args) -> int:
 
 # The writers give the bytes of ``json.dumps(..., indent=2)`` and of the padded
 # table, _BATCH nodes per write: none holds its whole output or a string per node.
+# A table row holds its node's path, so on a deep tree a table batch has fewer
+# rows, about _BATCH_CHARS characters' worth.
 _BATCH = 4096
+_BATCH_CHARS = 1 << 20
 _JSON_LITERAL = {None: "null", True: "true", False: "false"}
 _CELL = {None: "-", True: "yes", False: "no"}
 _TABLE_HEADER = (
@@ -106,12 +109,12 @@ _TABLE_HEADER = (
 )
 
 
-def _write_batched(head: str, parts, sep: str, tail: str) -> None:
-    """Write ``head + sep.join(parts) + tail`` to stdout, _BATCH parts per write."""
+def _write_batched(head: str, parts, sep: str, tail: str, size: int = _BATCH) -> None:
+    """Write ``head + sep.join(parts) + tail`` to stdout, ``size`` parts per write."""
     write = sys.stdout.write
     write(head)
     lead = ""
-    while batch := list(islice(parts, _BATCH)):
+    while batch := list(islice(parts, size)):
         write(lead)
         write(sep.join(batch))
         lead = sep
@@ -177,8 +180,10 @@ def _write_table(t, at) -> None:
         range(len(t)), _iter_node_paths(t), t.kinds, at._size,
         map(cell, at._clique), at._gamma, *flags,
     )
-    head = (row % tuple(_TABLE_HEADER)).rstrip() + "\n"
-    _write_batched(head, map(str.rstrip, map(row.__mod__, rows)), "\n", "\n")
+    padded = row % tuple(_TABLE_HEADER)
+    size = min(_BATCH, max(1, _BATCH_CHARS // len(padded)))
+    lines = map(str.rstrip, map(row.__mod__, rows))
+    _write_batched(padded.rstrip() + "\n", lines, "\n", "\n", size)
 
 
 def cmd_annotate(args) -> int:
@@ -211,13 +216,18 @@ def _oracle_check(t, at, budget) -> list[str]:
             path = next(islice(_iter_node_paths(t), v, None))
             problems.append(f"{fact} at {path}: oracle {oracle}, pass {got}")
 
+    graph_of = _subtree_graphs(t, materialize(t))
     for v in range(len(t)):
-        sub = subtree(t, v)
-        compare("gamma", v, domination_number(materialize(sub), budget), at._gamma[v])
+        sub = graph_of(v)
+        compare("gamma", v, domination_number(sub, budget), at._gamma[v])
         if t.kinds[v] == UNION:
-            compare("label_r", v, label_r_definitional(t, v, budget), at._lr[v])
+            ch = t.children[v]
+            label_r = len(ch) == 2 and label_r_definitional_graphs(
+                graph_of(ch[0]), graph_of(ch[1]), budget
+            )
+            compare("label_r", v, label_r, at._lr[v])
         elif t.kinds[v] == JOIN:
-            compare("p_corrected", v, property_p_definitional(sub), at._pc[v])
+            compare("p_corrected", v, property_p_definitional_graph(sub), at._pc[v])
     return problems
 
 

@@ -34,7 +34,7 @@ separate pass.  Leaf labels must be unique within one tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import CotreeParseError, UnknownLeafError
 
@@ -266,6 +266,26 @@ def _subtree_end(t: Cotree, v: int) -> int:
     while t.children[v]:
         v = t.children[v][-1]
     return v + 1
+
+
+def _subtree_graphs(t: Cotree, g: Graph) -> Callable[[int], Graph]:
+    """``v ↦ materialize(subtree(t, v))``, read off ``g = materialize(t)``.
+
+    The leaves of v's subtree are the ids v … end-1 that are leaves, so they
+    are the contiguous vertices ``first[v] … first[end]-1`` of g, and the
+    subgraph they induce is one shift-and-mask per row.
+    """
+    first = [0]  # first[v]: leaves with an id below v
+    for kind in t.kinds:
+        first.append(first[-1] + (kind == LEAF))
+
+    def graph_of(v: int) -> Graph:
+        lo, hi = first[v], first[_subtree_end(t, v)]
+        keep = (1 << (hi - lo)) - 1
+        rows = tuple(row >> lo & keep for row in g.adj[lo:hi])
+        return Graph(hi - lo, g.labels[lo:hi], rows)
+
+    return graph_of
 
 
 def subtree(t: Cotree, v: int) -> Cotree:

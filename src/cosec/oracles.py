@@ -13,6 +13,13 @@ is exact (the first size with a witness is the minimum) and fast on dense
 graphs where γ and γ_s are small.  Graphs above the configured vertex caps
 raise :class:`~cosec.errors.BudgetExceededError` instead of degrading to a
 heuristic.
+
+The three Cotree-level checks (``property_p_definitional``,
+``label_r_definitional``, ``label_r_structural``) are thin wrappers that
+build the graphs of the nodes they ask about and call a graph-level function
+of the same name plus ``_graph`` / ``_graphs``.  Callers that hold a whole
+tree's graph, such as ``verify.check_tree``, call those directly on slices of
+it and build no graph per node.
 """
 
 from __future__ import annotations
@@ -169,15 +176,22 @@ def property_p_definitional(t: Cotree) -> bool:
     """Does the join-rooted cograph of t admit two vertices x ≠ y with
     {x, y} dominating and both V ∖ N[x], V ∖ N[y] empty or a clique?
 
-    Evaluated on the materialized graph by an O(n²) pair scan after an
-    O(n²)-word precomputation of the per-vertex remainder-is-clique flags.
+    ``property_p_definitional_graph`` on the materialized graph.
     """
     tn = normalize(t)
     if tn.kinds[tn.root] != JOIN:
         raise NotAJoinError(
             f"property is defined for join-rooted cographs; root is {tn.kinds[tn.root]}"
         )
-    g = materialize(tn)
+    return property_p_definitional_graph(materialize(tn))
+
+
+def property_p_definitional_graph(g: Graph) -> bool:
+    """Property 𝒫 of g, whose cotree the caller knows to be join-rooted.
+
+    An O(n²) pair scan after an O(n²)-word precomputation of the per-vertex
+    remainder-is-clique flags.
+    """
     full = g.full_mask
     closed = [g.closed_mask(v) for v in range(g.n)]
     ok = [is_clique(g, full & ~closed[v]) for v in range(g.n)]
@@ -196,31 +210,47 @@ def label_r_definitional(
     """Is node u a union with exactly two children, one subtree with γ = 1
     and the other with γ_s = 1 (under some assignment)?
 
-    The two =1 tests are the singleton rounds of the minimization oracles;
-    see ``gamma_is_one`` / ``gamma_s_is_one``.  Budget caps still apply to
-    the child subtrees so the call refuses the same inputs the full oracles
-    would refuse.
+    ``label_r_definitional_graphs`` on the two children's graphs.  A child
+    above the domination cap, and so above both caps, is refused there on its
+    vertex count alone, so it is passed unbuilt: that count and no rows.
     """
     if t.kinds[u] != UNION or len(t.children[u]) != 2:
         return False
-    a, b = t.children[u]
-    mats: dict[int, Graph] = {}
 
-    def graph_of(v: int, check: str, cap: int) -> Graph:
+    def graph_of(v: int) -> Graph:
         size = len(subtree_leaf_labels(t, v))
-        if size > cap:
-            raise BudgetExceededError(check, size, cap)
-        if v not in mats:
-            mats[v] = materialize(subtree(t, v))
-        return mats[v]
+        if size > budget.max_vertices_domination:
+            return Graph(size, (), ())
+        return materialize(subtree(t, v))
+
+    a, b = t.children[u]
+    return label_r_definitional_graphs(graph_of(a), graph_of(b), budget)
+
+
+def label_r_definitional_graphs(
+    ga: Graph, gb: Graph, budget: OracleBudget = DEFAULT_BUDGET
+) -> bool:
+    """Label ℛ of a union whose two children have graphs ga and gb: one with
+    γ = 1 and the other with γ_s = 1.
+
+    The two =1 tests are the singleton rounds of the minimization oracles;
+    see ``gamma_is_one`` / ``gamma_s_is_one``.  Budget caps still apply to
+    the child graphs so the call refuses the same inputs the full oracles
+    would refuse.
+    """
+
+    def checked(g: Graph, check: str, cap: int) -> Graph:
+        if g.n > cap:
+            raise BudgetExceededError(check, g.n, cap)
+        return g
 
     deferred: BudgetExceededError | None = None
-    for x, y in ((a, b), (b, a)):
+    for x, y in ((ga, gb), (gb, ga)):
         try:
             if gamma_is_one(
-                graph_of(x, "domination_number", budget.max_vertices_domination)
+                checked(x, "domination_number", budget.max_vertices_domination)
             ) and gamma_s_is_one(
-                graph_of(y, "secure_domination_number", budget.max_vertices_secure)
+                checked(y, "secure_domination_number", budget.max_vertices_secure)
             ):
                 return True
         except BudgetExceededError as exc:
@@ -231,9 +261,13 @@ def label_r_definitional(
 
 
 def label_r_structural(t: Cotree, u: int) -> bool:
-    """Lemma-style structural test: the subtree graph is disconnected and
-    some vertex w leaves a clique as V ∖ N[w]."""
-    g = materialize(subtree(t, u))
+    """Lemma-style structural test on the graph of u's subtree; see
+    ``label_r_structural_graph``."""
+    return label_r_structural_graph(materialize(subtree(t, u)))
+
+
+def label_r_structural_graph(g: Graph) -> bool:
+    """g is disconnected and some vertex w leaves a clique as V ∖ N[w]."""
     if _is_connected(g):
         return False
     full = g.full_mask

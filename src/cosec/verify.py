@@ -13,6 +13,12 @@ Two kinds of outcome are deliberately kept apart:
 Expensive whole-subtree checks (full γ_s, per-node clique oracles) are
 gated to trees with at most 8 leaves; the cheap singleton-level checks run
 on every instance.
+
+Each tree is materialized once.  Pre-order ids make the leaves of a subtree
+a contiguous run of vertices, so every per-node check reads the graph of its
+subtree as a slice of the tree's graph (``cotree._subtree_graphs``) and runs
+the graph-level oracle on it.  The tree's text and node paths are built only
+when the tree has a mismatch or a finding to report.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from .annotate import annotate
-from .cotree import JOIN, UNION, Cotree, materialize, node_paths, subtree, to_text
+from .cotree import JOIN, UNION, Cotree, _subtree_graphs, materialize, node_paths, to_text
 from .generators import enumerate_cotrees, random_corpus
 from .oracles import (
     DEFAULT_BUDGET,
@@ -29,9 +35,9 @@ from .oracles import (
     domination_number,
     gamma_s_is_one,
     is_complete,
-    label_r_definitional,
-    label_r_structural,
-    property_p_definitional,
+    label_r_definitional_graphs,
+    label_r_structural_graph,
+    property_p_definitional_graph,
     secure_domination_number,
 )
 
@@ -93,15 +99,20 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     """Run every oracle cross-check on one normalized cotree; append results."""
     at = annotate(t)
     g = materialize(t)
-    text = to_text(t)
-    paths = node_paths(t)
+    graph_of = _subtree_graphs(t, g)
     report.instances += 1
     report.graphs_checked += 1
+    shown = None  # (text, paths): built at the first mismatch or finding
+
+    def where(node):
+        nonlocal shown
+        if shown is None:
+            shown = to_text(t), node_paths(t)
+        text, paths = shown
+        return text, node, paths[node]
 
     def mismatch(predicate, node, expected, got):
-        report.mismatches.append(
-            Mismatch(predicate, text, node, paths[node], expected, got)
-        )
+        report.mismatches.append(Mismatch(predicate, *where(node), expected, got))
 
     oracle_gamma = domination_number(g, budget)
     if oracle_gamma != at._gamma[t.root]:
@@ -120,25 +131,28 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
         kind = t.kinds[v]
         if kind == JOIN:
             report.joins_checked += 1
-            defn = property_p_definitional(subtree(t, v))
+            defn = property_p_definitional_graph(graph_of(v))
             if at._pc[v] != defn:
                 mismatch("p_corrected", v, defn, at._pc[v])
             if at._po[v] and not at._pc[v]:
                 mismatch("p_original_implies_corrected", v, True, False)
             if at._po[v] != defn:
                 report.original_lemma_disagreements.append(
-                    OriginalLemmaFinding(text, v, paths[v], at._po[v], defn)
+                    OriginalLemmaFinding(*where(v), at._po[v], defn)
                 )
         elif kind == UNION:
             report.unions_checked += 1
-            defn = label_r_definitional(t, v, budget)
-            struct = label_r_structural(t, v)
+            ch = t.children[v]
+            defn = len(ch) == 2 and label_r_definitional_graphs(
+                graph_of(ch[0]), graph_of(ch[1]), budget
+            )
+            struct = label_r_structural_graph(graph_of(v))
             if defn != struct:
                 mismatch("label_r_structural", v, defn, struct)
             if defn != at._lr[v]:
                 mismatch("label_r_annotate", v, defn, at._lr[v])
         if deep:
-            sub_complete = is_complete(materialize(subtree(t, v)))
+            sub_complete = is_complete(graph_of(v))
             if at._clique[v] != sub_complete:
                 mismatch("is_clique", v, sub_complete, at._clique[v])
 

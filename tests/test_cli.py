@@ -150,7 +150,7 @@ def test_annotate_oracle_check_reports_mismatches(capsys, g1_file, monkeypatch):
     import cosec.cli
 
     monkeypatch.setattr(
-        cosec.cli, "property_p_definitional", lambda t: False
+        cosec.cli, "property_p_definitional_graph", lambda g: False
     )
     rc, _, err = run(capsys, "annotate", g1_file, "--oracle-check")
     assert rc == 3
@@ -254,7 +254,7 @@ def test_verify_guard_exits_2(capsys):
 def test_verify_mismatch_exits_3(capsys, monkeypatch):
     import cosec.verify
 
-    monkeypatch.setattr(cosec.verify, "property_p_definitional", lambda t: False)
+    monkeypatch.setattr(cosec.verify, "property_p_definitional_graph", lambda g: False)
     rc, out, _ = run(capsys, "verify", "--max-n", "3")
     assert rc == 3
     assert "MISMATCH" in out
@@ -263,6 +263,25 @@ def test_verify_mismatch_exits_3(capsys, monkeypatch):
 def test_verify_budget_exits_4(capsys):
     rc, _, err = run(capsys, "verify", "--max-n", "5", "--budget", "3,3")
     assert rc == 4 and "budget exceeded" in err
+
+
+@pytest.mark.parametrize(
+    "budget, refusal",
+    [
+        # label ℛ's γ_s = 1 test on an 11-leaf union child of a random tree
+        ("20,8", "secure_domination_number oracle budget exceeded: "
+                 "graph has 11 vertices, cap is 8"),
+        # the whole-graph γ_s of the first 5-leaf tree, before any per-node check
+        ("12,4", "secure_domination_number oracle budget exceeded: "
+                 "graph has 5 vertices, cap is 4"),
+    ],
+    ids=["label-r-child", "whole-graph"],
+)
+def test_verify_budget_refusal_is_the_first_in_check_order(capsys, budget, refusal):
+    args = ("verify", "--max-n", "9", "--random", "300", "--leaves", "14")
+    rc, _, err = run(capsys, *args, "--budget", budget)
+    assert rc == 4
+    assert err == f"error: {refusal}\n"
 
 
 # ---------------------------------------------------------------------------

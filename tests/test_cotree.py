@@ -11,6 +11,7 @@ from cosec.cotree import (
     LEAF,
     UNION,
     Cotree,
+    _subtree_graphs,
     canonical_key,
     complement,
     from_nested,
@@ -32,7 +33,7 @@ from cosec.cotree import (
 )
 from cosec.errors import CotreeParseError, UnknownLeafError
 
-from strategies import cotrees
+from strategies import cotrees, normalized_cotrees
 
 G1_TEXT = "(J (U c d e) (U (J a1) b))"
 G1_EDGES = {
@@ -315,6 +316,14 @@ def test_array_constructors_match_their_definitions(t1, t2):
         assert tuple(sub.labels[w] for w in sub.leaves()) == subtree_leaf_labels(t1, v)
     assert to_text(join(t1, t2)) == f"(J {to_text(t1)} {to_text(t2)})"
     assert to_text(union(t1, t2)) == f"(U {to_text(t1)} {to_text(t2)})"
+
+
+@given(st.one_of(cotrees(), normalized_cotrees()))
+@settings(deadline=None)
+def test_subtree_graphs_are_slices_of_the_whole_graph(t):
+    graph_of = _subtree_graphs(t, materialize(t))
+    for v in range(len(t)):
+        assert graph_of(v) == materialize(subtree(t, v))  # n, labels and adj
 
 
 def test_deep_unnormalized_caterpillar_end_to_end():

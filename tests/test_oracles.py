@@ -2,7 +2,15 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from cosec.cotree import JOIN, UNION, materialize, parse_cotree, to_text
+from cosec.cotree import (
+    JOIN,
+    UNION,
+    _subtree_graphs,
+    materialize,
+    parse_cotree,
+    subtree,
+    to_text,
+)
 from cosec.errors import BudgetExceededError, NotAJoinError
 from cosec.generators import GkSpec, g_k, random_corpus
 from cosec.oracles import (
@@ -17,12 +25,15 @@ from cosec.oracles import (
     is_dominating,
     is_secure_dominating,
     label_r_definitional,
+    label_r_definitional_graphs,
     label_r_structural,
+    label_r_structural_graph,
     property_p_definitional,
+    property_p_definitional_graph,
     secure_domination_number,
 )
 
-from strategies import normalized_cotrees
+from strategies import cotrees, normalized_cotrees
 from test_cotree import _shuffled_children
 
 P3 = parse_cotree("(J b (U a c))")  # path a - b - c
@@ -270,6 +281,55 @@ def test_label_r_definitional_respects_budget():
     # a decidable-within-budget True short-circuits before the caps matter
     t2 = parse_cotree("(U a b)")
     assert label_r_definitional(t2, t2.root, tight) is True
+
+
+def _outcome(fn, *args):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (BudgetExceededError, NotAJoinError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(cotrees(), normalized_cotrees()))
+@settings(deadline=None)
+def test_graph_cores_on_slices_match_the_cotree_oracles(t):
+    graph_of = _subtree_graphs(t, materialize(t))
+    budgets = (DEFAULT_BUDGET, OracleBudget(4, 3), OracleBudget(3, 1), OracleBudget(1, 1))
+    for v in range(len(t)):
+        assert label_r_structural_graph(graph_of(v)) == label_r_structural(t, v)
+        if t.kinds[v] == JOIN:
+            wrapped = _outcome(property_p_definitional, subtree(t, v))
+            if isinstance(wrapped, bool):  # else a unary join normalized away
+                assert property_p_definitional_graph(graph_of(v)) is wrapped
+        children = t.children[v]
+        for budget in budgets:
+            wrapped = _outcome(label_r_definitional, t, v, budget)
+            if t.kinds[v] == UNION and len(children) == 2:
+                a, b = map(graph_of, children)
+                assert _outcome(label_r_definitional_graphs, a, b, budget) == wrapped
+            else:
+                assert wrapped is False
+
+
+def test_label_r_definitional_builds_no_graph_above_the_caps(monkeypatch):
+    import cosec.oracles
+
+    built = []
+
+    def recording(t):
+        built.append(t.n_leaves())
+        return materialize(t)
+
+    monkeypatch.setattr(cosec.oracles, "materialize", recording)
+    big = "(J " + " ".join(f"x{i}" for i in range(5000)) + ")"
+    t = parse_cotree(f"(U a {big})")
+    with pytest.raises(BudgetExceededError) as exc_info:
+        label_r_definitional(t, t.root)
+    assert str(exc_info.value) == (
+        "domination_number oracle budget exceeded: graph has 5000 vertices, cap is 20"
+    )
+    assert built == [1]
 
 
 def test_budget_error_is_not_false():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from cosec.annotate import annotate
-from cosec.cli import _BATCH, main
+from cosec.cli import _BATCH, _BATCH_CHARS, main
 from cosec.cotree import node_paths, normalize, parse_cotree, to_json, to_text
 from cosec.generators import RandomSpec, random_cotree
 
@@ -143,3 +143,36 @@ def test_annotate_json_on_a_deep_caterpillar(tmp_path):
     assert rc == 0
     assert sink.records == 2 * levels + 1
     assert sink.tail.endswith('}\n  ]\n}\n')
+
+
+class _RecordingSink(io.TextIOBase):
+    """Keeps every string written, one list entry per write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s: str) -> int:
+        self.writes.append(s)
+        return len(s)
+
+
+def _table_writes(path, text: str) -> list[str]:
+    path.write_text(text)
+    sink = _RecordingSink()
+    with redirect_stdout(sink):
+        assert main(["annotate", str(path)]) == 0
+    return sink.writes
+
+
+def test_table_batches_are_bounded_by_size(tmp_path):
+    # rows carry paths of up to 2·leaves characters on this caterpillar
+    leaves = 1500
+    text = "".join(f"({'UJ'[i % 2]} x{i} " for i in range(leaves - 1))
+    deep = _table_writes(tmp_path / "deep.cotree", text + "end" + ")" * (leaves - 1))
+    assert sum(map(len, deep)) > 4 * _BATCH_CHARS
+    assert max(map(len, deep)) <= _BATCH_CHARS + _BATCH
+    # a shallow tree keeps whole batches of _BATCH rows
+    wide = "(J " + " ".join(f"x{i}" for i in range(2 * _BATCH - 1)) + ")"
+    writes = _table_writes(tmp_path / "wide.cotree", wide)
+    batches = [w for w in writes[1:] if len(w) > 1]  # not the header or a separator
+    assert [w.count("\n") + 1 for w in batches] == [_BATCH, _BATCH]

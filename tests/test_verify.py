@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cosec.cotree import parse_cotree, shape_key
+from cosec.cotree import leaf, parse_cotree, shape_key, to_text, union
 from cosec.errors import BudgetExceededError
 from cosec.generators import GkSpec, g_k
 from cosec.oracles import OracleBudget
@@ -21,6 +21,13 @@ def test_exhaustive_n4_is_totally_clean():
     assert report.mismatches == []
     assert report.original_lemma_disagreements == []
     assert report.ok
+
+
+def test_exhaustive_n10_is_clean_with_its_findings():
+    report = verify_corpora(max_n=10)
+    assert report.instances == 6965
+    assert report.ok and report.mismatches == []
+    assert len(report.original_lemma_disagreements) == 1011
 
 
 def test_n5_finds_the_g1_disagreement():
@@ -75,6 +82,14 @@ def test_check_tree_on_g1():
     finding = report.original_lemma_disagreements[0]
     assert finding.node == 0 and finding.path == "root"
     assert "original rule says False" in str(finding)
+
+
+def test_a_finding_below_the_root_carries_its_own_path():
+    t = union(leaf("x"), g_k(GkSpec(1)))
+    report = VerificationReport(corpus="x + g1")
+    check_tree(t, report, budget=OracleBudget())
+    [finding] = report.original_lemma_disagreements
+    assert (finding.cotree, finding.node, finding.path) == (to_text(t), 2, "root.1")
 
 
 def test_tight_budget_propagates():
