@@ -27,8 +27,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .cotree import JOIN, LEAF, UNION, Cotree, is_normalized
+from .cotree import JOIN, LEAF, UNION, Cotree
 from .errors import NotAJoinError, NotNormalizedError
+
+_NOT_NORMALIZED = "annotate requires a normalized cotree"
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,11 @@ class AnnotatedCotree:
 
 
 def annotate(t: Cotree) -> AnnotatedCotree:
-    """Compute every per-node fact in one bottom-up sweep; O(|T|) total."""
-    if not is_normalized(t):
-        raise NotNormalizedError("annotate requires a normalized cotree")
+    """Compute every per-node fact in one bottom-up sweep; O(|T|) total.
+
+    The sweep itself raises ``NotNormalizedError`` at an inner node with
+    fewer than two children or with a child of its own kind.
+    """
     n = len(t)
     kinds = t.kinds
     children = t.children
@@ -143,10 +147,14 @@ def annotate(t: Cotree) -> AnnotatedCotree:
             clique[v] = True
             continue
         ch = children[v]
+        if len(ch) < 2:
+            raise NotNormalizedError(_NOT_NORMALIZED)
         if k == UNION:
             s = 0
             g = 0
             for c in ch:
+                if kinds[c] == UNION:
+                    raise NotNormalizedError(_NOT_NORMALIZED)
                 s += size[c]
                 g += gamma[c]
             size[v] = s
@@ -167,12 +175,15 @@ def annotate(t: Cotree) -> AnnotatedCotree:
             eligible = 0  # children that are leaves or carry label_r
             has_two_clique_child = False
             for c in ch:
+                kc = kinds[c]
+                if kc == JOIN:
+                    raise NotNormalizedError(_NOT_NORMALIZED)
                 s += size[c]
                 if gamma[c] == 1:
                     any_gamma_one = True
                 if not clique[c]:
                     all_cliques = False
-                if kinds[c] == LEAF or lr[c]:
+                if kc == LEAF or lr[c]:
                     eligible += 1
                 if u2c[c] and lr[c]:
                     has_two_clique_child = True

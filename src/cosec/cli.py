@@ -35,6 +35,7 @@ from .cotree import (
     JOIN,
     UNION,
     _iter_node_paths,
+    _node_path_width,
     _subtree_graphs,
     materialize,
     normalize,
@@ -162,28 +163,34 @@ def _write_annotations_json(t, at) -> None:
 
 
 def _write_table(t, at) -> None:
-    """One row per node; each column as wide as its widest cell or header."""
+    """One row per node; each column as wide as its widest cell or header.
+    The columns after ``size`` are formatted once per distinct value tuple."""
     yes_no = max(map(len, _CELL.values()))
     widest = (
         len(str(len(t) - 1)),
-        max(map(len, _iter_node_paths(t))),
+        _node_path_width(t),
         max(map(len, t.kinds)),
         len(str(max(at._size))),
         yes_no,
         len(str(max(at._gamma))),
         *[yes_no] * 4,
     )
-    row = "  ".join(f"%-{max(len(h), w)}s" for h, w in zip(_TABLE_HEADER, widest))
+    fmt = [f"%-{max(len(h), w)}s" for h, w in zip(_TABLE_HEADER, widest)]
+    row = "  ".join(fmt[:4]) + "  %s"  # id, path, kind, size, then the tail
+    tail = "  ".join(fmt[4:])
     cell = _CELL.__getitem__
-    flags = (map(cell, f) for f in (at._lr, at._u2c, at._po, at._pc))
+    columns = (at._clique, at._gamma, at._lr, at._u2c, at._po, at._pc)
+    tails = {
+        key: (tail % (cell(key[0]), key[1], *map(cell, key[2:]))).rstrip()
+        for key in set(zip(*columns))
+    }
     rows = zip(
         range(len(t)), _iter_node_paths(t), t.kinds, at._size,
-        map(cell, at._clique), at._gamma, *flags,
+        map(tails.__getitem__, zip(*columns)),
     )
-    padded = row % tuple(_TABLE_HEADER)
+    padded = row % (*_TABLE_HEADER[:4], tail % tuple(_TABLE_HEADER[4:]))
     size = min(_BATCH, max(1, _BATCH_CHARS // len(padded)))
-    lines = map(str.rstrip, map(row.__mod__, rows))
-    _write_batched(padded.rstrip() + "\n", lines, "\n", "\n", size)
+    _write_batched(padded.rstrip() + "\n", map(row.__mod__, rows), "\n", "\n", size)
 
 
 def cmd_annotate(args) -> int:
@@ -273,7 +280,7 @@ def cmd_bench(args) -> int:
         raise ValueError("sizes must be positive integers")
     print(
         f"{'leaves':>10}  {'nodes':>10}  {'median_ms':>12}  {'ns_per_node':>12}  "
-        f"{'table_ns':>10}  {'json_ns':>10}"
+        f"{'table_ns':>10}  {'json_ns':>10}  {'parse_ns':>10}"
     )
     for size in sizes:
         t = random_cotree(RandomSpec(leaf_count=size, seed=args.seed))
@@ -282,11 +289,13 @@ def cmd_bench(args) -> int:
         with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
             table_s = _median_s(lambda: _write_table(t, at), args.repeats)
             json_s = _median_s(lambda: _write_annotations_json(t, at), args.repeats)
+        text = to_text(t)
+        parse_s = _median_s(lambda: parse_cotree(text), args.repeats)
         per_node = 1e9 / len(t)
         print(
             f"{size:>10}  {len(t):>10}  {median_s * 1000.0:>12.2f}  "
             f"{median_s * per_node:>12.0f}  {table_s * per_node:>10.0f}  "
-            f"{json_s * per_node:>10.0f}"
+            f"{json_s * per_node:>10.0f}  {parse_s * per_node:>10.0f}"
         )
     return EXIT_OK
 

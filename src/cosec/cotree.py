@@ -9,9 +9,11 @@ Representation notes:
 - Nodes live in flat parallel tuples indexed by node id.  Ids are pre-order
   positions, so every child id is strictly greater than its parent id and a
   subtree occupies a contiguous id range.  Bottom-up passes are therefore a
-  single reversed loop over ``range(len(tree))``.  ``parse_cotree`` appends
-  nodes as it reads them; ``normalize``, ``subtree``, ``union`` and ``join``
-  copy id ranges with shifted ids.  Only ``from_nested`` reads nested input.
+  single reversed loop over ``range(len(tree))``.  ``parse_cotree`` loops
+  over one ``re.findall`` token list, appending a node per leaf or ``(``; a
+  failing parse scans again to find its byte offset.  ``normalize``,
+  ``subtree``, ``union`` and ``join`` copy id ranges with shifted ids.  Only
+  ``from_nested`` reads nested input.
 - No Python recursion, but ``canonical_key`` / ``shape_key`` return nested
   tuples whose comparison recurses in C: ``shape_key`` of a join of two
   equally shaped caterpillars raises ``RecursionError`` (ROADMAP item 5).
@@ -33,7 +35,9 @@ separate pass.  Leaf labels must be unique within one tree.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator
 
 from .errors import CotreeParseError, UnknownLeafError
@@ -50,7 +54,9 @@ _DOT_LABEL = {UNION: "∪", JOIN: "+"}
 _LEAF_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
 )
-_WS = frozenset(" \t\r\n")
+# A maximal run of leaf characters, or any one other character that is not
+# whitespace: "(", ")" or a character the grammar does not allow.
+_TOKEN = re.compile(r"[A-Za-z0-9_]+|[^ \t\r\n]")
 
 _CLOSE = object()  # sentinel for the iterative printer
 
@@ -306,67 +312,64 @@ def parse_cotree(text: str) -> Cotree:
     The tree is returned exactly as written, without normalization.
     Errors report byte offsets into the UTF-8 encoding of ``text``.
     """
-    pos = 0
-    end = len(text)
+    tokens = _TOKEN.findall(text)
     kinds: list[str] = []
-    children: list[list[int] | tuple[()]] = []
+    children: list[tuple[int, ...]] = []
     labels: list[str | None] = []
-    stack: list[int] = []  # ids of the open inner nodes
+    # The open inner nodes' ids and child lists.  A list becomes a tuple when
+    # its node closes: the garbage collector need not rescan a list per node.
+    opened: list[int] = []
+    stack: list[list[int]] = []
     seen: set[str] = set()
-
-    def fail(message: str, at: int):
-        raise CotreeParseError(message, len(text[:at].encode("utf-8")))
-
-    def add(kind: str, label: str | None) -> None:
-        if stack:
-            children[stack[-1]].append(len(kinds))
-        kinds.append(kind)
-        children.append(() if label is not None else [])
-        labels.append(label)
-
-    while pos < end:
-        ch = text[pos]
-        if ch in _WS:
-            pos += 1
-            continue
-        if ch == "(":
+    steps = enumerate(tokens)
+    for i, tok in steps:
+        if tok == "(":
             if not stack and kinds:
-                fail("trailing content after complete cotree", pos)
-            pos += 1
-            while pos < end and text[pos] in _WS:
-                pos += 1
-            start = pos
-            while pos < end and text[pos] in _LEAF_CHARS:
-                pos += 1
-            kind = _KIND_OF_OP.get(text[start:pos])
+                raise _parse_error(text, "trailing content after complete cotree", i)
+            i, op = next(steps, (len(tokens), None))
+            kind = _KIND_OF_OP.get(op)
             if kind is None:
-                fail("expected operator U or J after '('", start)
-            add(kind, None)
-            stack.append(len(kinds) - 1)
-        elif ch == ")":
+                raise _parse_error(text, "expected operator U or J after '('", i)
+            if stack:
+                stack[-1].append(len(kinds))
+            opened.append(len(kinds))
+            stack.append([])
+            kinds.append(kind)
+            children.append(())
+            labels.append(None)
+        elif tok == ")":
             if not stack:
-                fail("unbalanced ')'", pos)
-            if not children[stack.pop()]:
-                fail("empty node: operator without children", pos)
-            pos += 1
-        elif ch in _LEAF_CHARS:
-            start = pos
-            while pos < end and text[pos] in _LEAF_CHARS:
-                pos += 1
-            label = text[start:pos]
-            if label in seen:
-                fail(f"duplicate leaf label {label!r}", start)
-            seen.add(label)
-            if not stack and kinds:
-                fail("trailing content after complete cotree", start)
-            add(LEAF, label)
+                raise _parse_error(text, "unbalanced ')'", i)
+            kids = stack.pop()
+            if not kids:
+                raise _parse_error(text, "empty node: operator without children", i)
+            children[opened.pop()] = tuple(kids)
+        elif tok[0] in _LEAF_CHARS:
+            if tok in seen:
+                raise _parse_error(text, f"duplicate leaf label {tok!r}", i)
+            seen.add(tok)
+            if stack:
+                stack[-1].append(len(kinds))
+            elif kinds:
+                raise _parse_error(text, "trailing content after complete cotree", i)
+            kinds.append(LEAF)
+            children.append(())
+            labels.append(tok)
         else:
-            fail(f"unexpected character {ch!r}", pos)
+            raise _parse_error(text, f"unexpected character {tok!r}", i)
     if stack:
-        fail("unexpected end of input: unclosed '('", end)
+        raise _parse_error(text, "unexpected end of input: unclosed '('", len(tokens))
     if not kinds:
-        fail("empty input", 0)
-    return Cotree(tuple(kinds), tuple(map(tuple, children)), tuple(labels))
+        raise CotreeParseError("empty input", 0)
+    return Cotree(tuple(kinds), tuple(children), tuple(labels))
+
+
+def _parse_error(text: str, message: str, index: int) -> CotreeParseError:
+    """The error at token ``index`` of ``text``, or at its end for the index
+    one past the last token.  Only a failing parse pays for this re-scan."""
+    token = next(islice(_TOKEN.finditer(text), index, None), None)
+    at = len(text) if token is None else token.start()
+    return CotreeParseError(message, len(text[:at].encode("utf-8")))
 
 
 def to_text(t: Cotree) -> str:
@@ -446,9 +449,12 @@ def normalize(t: Cotree) -> Cotree:
     """Collapse unary nodes and flatten same-kind nesting.
 
     Idempotent; the induced graph is unchanged (leaves keep their labels).
-    Contraction keeps the pre-order of the remaining nodes, so this is one
-    forward pass; a tree that is already normalized is returned as is.
+    A tree that is already normalized is returned as is.  Otherwise,
+    contraction keeps the pre-order of the remaining nodes, so this is one
+    forward pass.
     """
+    if is_normalized(t):
+        return t
     kinds, children, labels = t.kinds, t.children, t.labels
     up = [-1] * len(t)  # new id of each node's nearest kept proper ancestor
     out_kinds: list[str] = []
@@ -469,8 +475,6 @@ def normalize(t: Cotree) -> Cotree:
             out_labels.append(labels[v])
         for c in children[v]:
             up[c] = anchor
-    if len(out_kinds) == len(t):
-        return t
     return Cotree(tuple(out_kinds), tuple(map(tuple, out_children)), tuple(out_labels))
 
 
@@ -583,6 +587,19 @@ def _iter_node_paths(t: Cotree) -> Iterator[str]:
         for i, c in enumerate(t.children[v]):
             step[c] = i
             depth[c] = depth[v] + 1
+
+
+def _node_path_width(t: Cotree) -> int:
+    """``max(map(len, _iter_node_paths(t)))`` without building a path: a
+    path is "root" and then "." and the child index per step down."""
+    step = [1 + len(str(i)) for i in range(max(map(len, t.children)))]
+    width = [len("root")] * len(t)
+    # width[v] is final when the loop reads it: children have larger ids
+    for ch, w in zip(t.children, width):
+        if ch:
+            for c, d in zip(ch, step):
+                width[c] = w + d
+    return max(width)
 
 
 def subtree_leaf_labels(t: Cotree, v: int) -> tuple[str, ...]:

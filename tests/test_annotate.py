@@ -1,13 +1,18 @@
+import io
 import json
+import sys
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings
 
 from cosec.annotate import annotate, property_p_corrected, property_p_original
+from cosec.cli import main
 from cosec.cotree import (
     JOIN,
     LEAF,
     UNION,
+    is_normalized,
     materialize,
     parse_cotree,
     subtree,
@@ -58,6 +63,55 @@ def test_annotate_rejects_unnormalized_trees():
         annotate(parse_cotree("(U a (U b c))"))
     with pytest.raises(NotNormalizedError):
         annotate(parse_cotree("(J (J a b))"))
+    with pytest.raises(NotNormalizedError):  # a unary root
+        annotate(parse_cotree("(U a)"))
+    # a same-kind child at the highest inner id, the sweep's first inner node
+    for text in ("(U a (J b c) (J d (J e f)))", "(J a (U b c) (U d (U e f)))"):
+        with pytest.raises(NotNormalizedError):
+            annotate(parse_cotree(text))
+
+
+def _caterpillar(levels: int, bottom: str) -> str:
+    """Alternating U/J spine of ``levels`` inner nodes with one leaf each;
+    the bottom node is ``(bottom y z)``."""
+    spine = "".join(f"({'UJ'[i % 2]} x{i} " for i in range(levels - 1))
+    return spine + f"({bottom} y z)" + ")" * (levels - 1)
+
+
+def test_annotate_finds_one_violation_at_the_bottom_of_a_deep_caterpillar():
+    levels = 100_000
+    parent_kind = "UJ"[(levels - 2) % 2]
+    other = "UJ"[(levels - 1) % 2]
+    assert annotate(parse_cotree(_caterpillar(levels, other))).node(0).size == levels + 1
+    t = parse_cotree(_caterpillar(levels, parent_kind))
+    assert not is_normalized(t)
+    with pytest.raises(NotNormalizedError):
+        annotate(t)
+
+
+def test_annotate_runs_no_separate_normalization_pass(monkeypatch, tmp_path):
+    calls = []
+
+    def counting(t):
+        calls.append(len(t))
+        return is_normalized(t)
+
+    # Patch the name wherever a module holds it.  The modules come from
+    # sys.modules: the package attribute ``cosec.annotate`` is the function.
+    for name in ("cosec.annotate", "cosec.cli", "cosec.cotree"):
+        if hasattr(sys.modules[name], "is_normalized"):
+            monkeypatch.setattr(sys.modules[name], "is_normalized", counting)
+    t = parse_cotree("(J a (U b c) (U d (J e f)))")
+    annotate(t)
+    assert calls == []
+    # cosec annotate: at most the one check inside normalize
+    for text in ("(J a (U b c) (U d (J e f)))", "(J a (J b (U c d)))"):
+        path = tmp_path / "t.cotree"
+        path.write_text(text)
+        calls.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["annotate", str(path)]) == 0
+        assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -300,10 +300,11 @@ def test_bench_times_the_writers_into_a_sink(capsys):
     assert rc == 0
     header, row = out.splitlines()
     assert header.split() == [
-        "leaves", "nodes", "median_ms", "ns_per_node", "table_ns", "json_ns"
+        "leaves", "nodes", "median_ms", "ns_per_node", "table_ns", "json_ns",
+        "parse_ns",
     ]
     cells = row.split()
-    assert len(cells) == 6 and all(float(x) > 0 for x in cells[3:])
+    assert len(cells) == 7 and all(float(x) > 0 for x in cells[3:])
 
 
 def test_bench_rejects_bad_sizes(capsys):

@@ -161,7 +161,13 @@ def test_normalize_collapses_unary_nodes():
 
 def test_normalize_keeps_normalized_trees_as_is():
     t = parse_cotree("(U (J a1 a2) b)")
-    assert normalize(t) == t
+    assert normalize(t) is t
+
+
+@given(normalized_cotrees())
+@settings(deadline=None)
+def test_normalize_returns_a_normalized_tree_itself(t):
+    assert normalize(t) is t
 
 
 @given(cotrees())

@@ -107,8 +107,12 @@ def test_writers_match_reference_renderers(tmp_path_factory, t):
         "(J " + " ".join(f"x{i}" for i in range(2 * _BATCH - 1)) + ")",
         # more than two batches, with paths of mixed widths
         to_text(random_cotree(RandomSpec(leaf_count=2 * _BATCH, seed=5))),
+        # the widest paths (root.0.1000 on, 11 characters) are shallower
+        # than the deepest (root.1.1.0 and root.1.1.1, 10 characters)
+        "(U (J " + " ".join(f"x{i}" for i in range(2 * _BATCH + 8)) + ")"
+        " (J a (U b c)))",
     ],
-    ids=["two-batches", "more-than-two-batches"],
+    ids=["two-batches", "more-than-two-batches", "widest-path-is-not-deepest"],
 )
 def test_writers_match_references_across_batches(tmp_path, text):
     assert len(normalize(parse_cotree(text))) >= 2 * _BATCH
