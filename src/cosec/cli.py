@@ -17,6 +17,9 @@ beats the environment.
 
 ``annotate`` (table and ``--json``) and ``parse --json`` stream their output
 in batches of nodes straight from the cotree and annotation arrays.
+``annotate --oracle-check`` runs ``verify.check_tree``, the cross-check that
+``verify`` runs on every corpus tree, and prints each mismatch on stderr as
+``MISMATCH {predicate} at {path}: oracle {expected}, pass {got}``.
 """
 
 from __future__ import annotations
@@ -32,12 +35,8 @@ from itertools import islice
 
 from .annotate import annotate
 from .cotree import (
-    JOIN,
-    UNION,
     _iter_node_paths,
     _node_path_width,
-    _subtree_graphs,
-    materialize,
     normalize,
     parse_cotree,
     to_dot,
@@ -45,14 +44,14 @@ from .cotree import (
 )
 from .errors import BudgetExceededError, CotreeParseError
 from .generators import GkSpec, RandomSpec, g_k, random_cotree
-from .oracles import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    domination_number,
-    label_r_definitional_graphs,
-    property_p_definitional_graph,
+from .oracles import DEFAULT_BUDGET, OracleBudget
+from .verify import (
+    VerificationReport,
+    check_tree,
+    report_json,
+    report_text,
+    verify_corpora,
 )
-from .verify import report_json, report_text, verify_corpora
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -64,7 +63,9 @@ EXIT_BUDGET = 4
 def _read_source(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps every "\r\n" as two characters, so a parse error
+    # reports the offset it has in the file, as it does for stdin
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -201,41 +202,17 @@ def cmd_annotate(args) -> int:
     else:
         _write_table(t, at)
     if args.oracle_check:
-        budget = _resolve_budget(args.budget)
-        problems = _oracle_check(t, at, budget)
-        if problems:
-            for p in problems:
-                print(f"MISMATCH {p}", file=sys.stderr)
+        report = VerificationReport(corpus=args.file)
+        check_tree(t, report, _resolve_budget(args.budget))
+        for m in report.mismatches:
+            print(
+                f"MISMATCH {m.predicate} at {m.path}: oracle {m.expected}, pass {m.got}",
+                file=sys.stderr,
+            )
+        if report.mismatches:
             return EXIT_MISMATCH
         print(f"oracle check: OK ({len(t)} nodes)", file=sys.stderr)
     return EXIT_OK
-
-
-def _oracle_check(t, at, budget) -> list[str]:
-    """Recompute gamma, label ℛ, and the join predicate definitionally."""
-    cap = budget.max_vertices_domination
-    if at._size[t.root] > cap:  # the largest graph: refuse before building any
-        raise BudgetExceededError("domination_number", at._size[t.root], cap)
-    problems = []
-
-    def compare(fact: str, v: int, oracle, got) -> None:
-        if oracle != got:  # only a reported node needs its path
-            path = next(islice(_iter_node_paths(t), v, None))
-            problems.append(f"{fact} at {path}: oracle {oracle}, pass {got}")
-
-    graph_of = _subtree_graphs(t, materialize(t))
-    for v in range(len(t)):
-        sub = graph_of(v)
-        compare("gamma", v, domination_number(sub, budget), at._gamma[v])
-        if t.kinds[v] == UNION:
-            ch = t.children[v]
-            label_r = len(ch) == 2 and label_r_definitional_graphs(
-                graph_of(ch[0]), graph_of(ch[1]), budget
-            )
-            compare("label_r", v, label_r, at._lr[v])
-        elif t.kinds[v] == JOIN:
-            compare("p_corrected", v, property_p_definitional_graph(sub), at._pc[v])
-    return problems
 
 
 def cmd_gk(args) -> int:
@@ -278,6 +255,8 @@ def cmd_bench(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be positive integers")
+    if args.repeats < 1:
+        raise ValueError("repeats must be a positive integer")
     print(
         f"{'leaves':>10}  {'nodes':>10}  {'median_ms':>12}  {'ns_per_node':>12}  "
         f"{'table_ns':>10}  {'json_ns':>10}  {'parse_ns':>10}"
@@ -322,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--oracle-check",
         action="store_true",
-        help="recompute gamma / label_r / join predicate definitionally and compare",
+        help="cross-check every node against the definitional oracles, as verify does",
     )
     p.add_argument("--budget", help="oracle caps: CAP or DOM,SECURE")
     p.set_defaults(func=cmd_annotate)

@@ -235,7 +235,9 @@ def from_nested(nested) -> Cotree:
 
 def leaf(label: str) -> Cotree:
     """Single-leaf cotree (the one-vertex graph)."""
-    return from_nested(label)
+    if not label or not set(label) <= _LEAF_CHARS:
+        raise ValueError(f"bad leaf label {label!r}")
+    return Cotree((LEAF,), ((),), (label,))
 
 
 def union(*trees: Cotree) -> Cotree:

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .cotree import JOIN, UNION, Cotree, from_nested, leaf, normalize
+from .cotree import JOIN, LEAF, UNION, Cotree, from_nested, leaf, normalize
 from .cotree import _KIND_OF_OP, _OPPOSITE
 
 
@@ -61,33 +61,42 @@ def random_cotree(spec: RandomSpec) -> Cotree:
     rng = random.Random(spec.seed)
     if spec.leaf_count == 1:
         return leaf("v0")
+    kinds: list[str] = []
+    children: list[list[int]] = []
+    labels: list[str | None] = []
     counter = 0
-
-    def next_label() -> str:
-        nonlocal counter
-        lbl = f"v{counter}"
-        counter += 1
-        return lbl
-
-    root: list = [rng.choice((UNION, JOIN)), []]
-    stack: list[tuple[list, int]] = [(root, spec.leaf_count)]
+    # Popping a stack item gives the next pre-order id.  An item is (parent,
+    # label) for a leaf, labeled when its parent draws, or (parent, leaf
+    # count) for an inner node, which draws when it is popped.  That keeps
+    # the draws and the labels in the order the frozen corpora in
+    # tests/conftest.py were recorded with.
+    stack: list[tuple[int, str | int]] = [(-1, spec.leaf_count)]
+    top_kind = rng.choice((UNION, JOIN))
     while stack:
-        node, budget = stack.pop()
-        arity = rng.randint(2, min(spec.max_arity, budget))
-        cuts = sorted(rng.sample(range(1, budget), arity - 1))
-        bounds = [0, *cuts, budget]
-        parts = [bounds[i + 1] - bounds[i] for i in range(arity)]
-        child_kind = _OPPOSITE[node[0]]
-        inner: list[tuple[list, int]] = []
-        for part in parts:
+        parent, item = stack.pop()
+        v = len(kinds)
+        children.append([])
+        if parent >= 0:
+            children[parent].append(v)
+        if isinstance(item, str):
+            kinds.append(LEAF)
+            labels.append(item)
+            continue
+        kinds.append(_OPPOSITE[kinds[parent]] if parent >= 0 else top_kind)
+        labels.append(None)
+        arity = rng.randint(2, min(spec.max_arity, item))
+        cuts = sorted(rng.sample(range(1, item), arity - 1))
+        bounds = [0, *cuts, item]
+        kids: list[tuple[int, str | int]] = []
+        for i in range(arity):
+            part = bounds[i + 1] - bounds[i]
             if part == 1:
-                node[1].append(next_label())
+                kids.append((v, f"v{counter}"))
+                counter += 1
             else:
-                child: list = [child_kind, []]
-                node[1].append(child)
-                inner.append((child, part))
-        stack.extend(reversed(inner))
-    return from_nested(root)
+                kids.append((v, part))
+        stack.extend(reversed(kids))
+    return Cotree(tuple(kinds), tuple(map(tuple, children)), tuple(labels))
 
 
 def random_corpus(count: int, max_leaves: int, seed: int) -> Iterator[Cotree]:

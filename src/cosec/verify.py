@@ -10,24 +10,28 @@ Two kinds of outcome are deliberately kept apart:
   where the published (incorrect) rule contradicts the definitional check
   are exactly what this tool exists to exhibit.
 
-Expensive whole-subtree checks (full γ_s, per-node clique oracles) are
-gated to trees with at most 8 leaves; the cheap singleton-level checks run
-on every instance.
+The full γ_s oracle is the one expensive check: it bounds γ_s ≥ γ on the
+whole graph of trees with at most 8 leaves.  Every other check runs on every
+node of every instance: γ, the clique flag, 𝒫 at joins and label ℛ at
+unions, both definitionally and structurally.
 
 Each tree is materialized once.  Pre-order ids make the leaves of a subtree
-a contiguous run of vertices, so every per-node check reads the graph of its
-subtree as a slice of the tree's graph (``cotree._subtree_graphs``) and runs
-the graph-level oracle on it.  The tree's text and node paths are built only
-when the tree has a mismatch or a finding to report.
+a contiguous run of vertices, so each node's graph is a slice of the tree's
+graph (``cotree._subtree_graphs``), built once per node.  ``check_tree``
+calls each graph-level oracle from one place, and it is the one cross-check
+path: ``cosec annotate --oracle-check`` runs it on its one tree, so the CLI
+and ``cosec verify`` check the same facts.  The tree's text and node paths
+are built only when the tree has a mismatch or a finding to report.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .annotate import annotate
 from .cotree import JOIN, UNION, Cotree, _subtree_graphs, materialize, node_paths, to_text
+from .errors import BudgetExceededError
 from .generators import enumerate_cotrees, random_corpus
 from .oracles import (
     DEFAULT_BUDGET,
@@ -96,10 +100,21 @@ class VerificationReport:
 
 
 def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> None:
-    """Run every oracle cross-check on one normalized cotree; append results."""
+    """Run every oracle cross-check on one normalized cotree; append results.
+
+    Every oracle is called from one place here.  A tree above the domination
+    cap is refused before any graph is built; below it no γ call can refuse,
+    so the whole-graph γ_s check still refuses before any per-node check.
+    """
+    n = t.n_leaves()
+    cap = budget.max_vertices_domination
+    if n > cap:  # the largest graph: refuse before building any
+        raise BudgetExceededError("domination_number", n, cap)
     at = annotate(t)
-    g = materialize(t)
-    graph_of = _subtree_graphs(t, g)
+    # each node's graph, built once and shared by every check at that node
+    graphs = list(map(_subtree_graphs(t, materialize(t)), range(len(t))))
+    gamma = [domination_number(g, budget) for g in graphs]
+    complete = [is_complete(g) for g in graphs]
     report.instances += 1
     report.graphs_checked += 1
     shown = None  # (text, paths): built at the first mismatch or finding
@@ -114,24 +129,22 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     def mismatch(predicate, node, expected, got):
         report.mismatches.append(Mismatch(predicate, *where(node), expected, got))
 
-    oracle_gamma = domination_number(g, budget)
-    if oracle_gamma != at._gamma[t.root]:
-        mismatch("gamma", t.root, oracle_gamma, at._gamma[t.root])
-
+    root, g = t.root, graphs[t.root]
     # γ_s = 1 ⟺ complete, via the definitional singleton scan
-    complete = is_complete(g)
-    if gamma_s_is_one(g) != complete:
-        mismatch("gamma_s_is_one_iff_complete", t.root, complete, not complete)
+    if gamma_s_is_one(g) != complete[root]:
+        mismatch("gamma_s_is_one_iff_complete", root, complete[root], not complete[root])
 
-    deep = t.n_leaves() <= _DEEP_CHECK_MAX_LEAVES
-    if deep and secure_domination_number(g, budget) < oracle_gamma:
-        mismatch("gamma_s_lower_bound", t.root, f">= {oracle_gamma}", "less")
+    deep = n <= _DEEP_CHECK_MAX_LEAVES
+    if deep and secure_domination_number(g, budget) < gamma[root]:
+        mismatch("gamma_s_lower_bound", root, f">= {gamma[root]}", "less")
 
     for v in range(len(t)):
+        if gamma[v] != at._gamma[v]:
+            mismatch("gamma", v, gamma[v], at._gamma[v])
         kind = t.kinds[v]
         if kind == JOIN:
             report.joins_checked += 1
-            defn = property_p_definitional_graph(graph_of(v))
+            defn = property_p_definitional_graph(graphs[v])
             if at._pc[v] != defn:
                 mismatch("p_corrected", v, defn, at._pc[v])
             if at._po[v] and not at._pc[v]:
@@ -144,17 +157,15 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
             report.unions_checked += 1
             ch = t.children[v]
             defn = len(ch) == 2 and label_r_definitional_graphs(
-                graph_of(ch[0]), graph_of(ch[1]), budget
+                graphs[ch[0]], graphs[ch[1]], budget
             )
-            struct = label_r_structural_graph(graph_of(v))
+            struct = label_r_structural_graph(graphs[v])
             if defn != struct:
                 mismatch("label_r_structural", v, defn, struct)
             if defn != at._lr[v]:
-                mismatch("label_r_annotate", v, defn, at._lr[v])
-        if deep:
-            sub_complete = is_complete(graph_of(v))
-            if at._clique[v] != sub_complete:
-                mismatch("is_clique", v, sub_complete, at._clique[v])
+                mismatch("label_r", v, defn, at._lr[v])
+        if at._clique[v] != complete[v]:
+            mismatch("is_clique", v, complete[v], at._clique[v])
 
 
 def verify_corpora(
@@ -221,26 +232,10 @@ def report_json(report: VerificationReport) -> dict:
         "joins_checked": report.joins_checked,
         "unions_checked": report.unions_checked,
         "graphs_checked": report.graphs_checked,
-        "mismatches": [
-            {
-                "predicate": m.predicate,
-                "cotree": m.cotree,
-                "node": m.node,
-                "path": m.path,
-                "expected": m.expected,
-                "got": m.got,
-            }
-            for m in report.mismatches
-        ],
+        # the dataclass fields, in order, are the JSON keys
+        "mismatches": [asdict(m) for m in report.mismatches],
         "original_lemma_disagreements": [
-            {
-                "cotree": f.cotree,
-                "node": f.node,
-                "path": f.path,
-                "p_original": f.p_original,
-                "definitional": f.definitional,
-            }
-            for f in report.original_lemma_disagreements
+            asdict(f) for f in report.original_lemma_disagreements
         ],
         "elapsed_ms": None,
         "ok": report.ok,

@@ -10,7 +10,10 @@ import pytest
 
 from cosec.annotate import annotate
 from cosec.cli import main
-from cosec.cotree import node_paths, parse_cotree
+from cosec.cotree import node_paths, parse_cotree, to_text
+from cosec.generators import GkSpec, g_k
+from cosec.oracles import OracleBudget
+from cosec.verify import VerificationReport, check_tree
 
 from helpers import cosec_subprocess_env
 
@@ -75,6 +78,21 @@ def test_parse_error_exits_2_with_byte_offset(capsys, tmp_path):
     rc, _, err = run(capsys, "parse", str(p))
     assert rc == 2
     assert "syntax error at byte" in err
+
+
+def test_crlf_input_reports_the_same_byte_offset_from_a_file_and_stdin(tmp_path):
+    p = tmp_path / "crlf.cotree"
+    p.write_bytes(b"(U a\r\nb))")
+    for argv, stdin in (([str(p)], None), (["-"], p.read_bytes())):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosec", "parse", *argv],
+            input=stdin,
+            capture_output=True,
+            timeout=60,
+            env=cosec_subprocess_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: syntax error at byte 8: unbalanced ')'\n"
 
 
 def test_missing_file_exits_1(capsys, tmp_path):
@@ -147,10 +165,10 @@ def test_malformed_budget_exits_2(capsys, g1_file):
 
 
 def test_annotate_oracle_check_reports_mismatches(capsys, g1_file, monkeypatch):
-    import cosec.cli
+    import cosec.verify
 
     monkeypatch.setattr(
-        cosec.cli, "property_p_definitional_graph", lambda g: False
+        cosec.verify, "property_p_definitional_graph", lambda g: False
     )
     rc, _, err = run(capsys, "annotate", g1_file, "--oracle-check")
     assert rc == 3
@@ -176,10 +194,10 @@ def test_annotate_oracle_check_refuses_a_large_tree_before_building_it(
 
 
 def test_oracle_check_mismatch_paths_match_node_paths(capsys, tmp_path, monkeypatch):
-    import cosec.cli
+    import cosec.verify
 
     # every node is reported, with paths through a multi-digit child index
-    monkeypatch.setattr(cosec.cli, "domination_number", lambda g, budget: 0)
+    monkeypatch.setattr(cosec.verify, "domination_number", lambda g, budget: 0)
     text = "(J (U a b (J c d) e f g h i j k (J l m)) (U n (J o (U p q))))"
     p = tmp_path / "t.cotree"
     p.write_text(text)
@@ -193,6 +211,45 @@ def test_oracle_check_mismatch_paths_match_node_paths(capsys, tmp_path, monkeypa
         f"MISMATCH gamma at {paths[v]}: oracle 0, pass {gamma[v]}" for v in range(len(t))
     ]
     assert err.splitlines() == expected
+
+
+def test_oracle_check_prints_the_check_tree_mismatches(capsys, g1_file, monkeypatch):
+    import cosec.verify
+
+    # one injected fault: label ℛ's definitional oracle answers inverted
+    real = cosec.verify.label_r_definitional_graphs
+    monkeypatch.setattr(
+        cosec.verify, "label_r_definitional_graphs", lambda *a: not real(*a)
+    )
+    t = parse_cotree(G1)
+    report = VerificationReport(corpus="g1")
+    check_tree(t, report, OracleBudget())
+    # at the one two-child union, (U a1 b), whose ℛ holds
+    assert [(m.predicate, m.path) for m in report.mismatches] == [
+        ("label_r_structural", "root.1"),
+        ("label_r", "root.1"),
+    ]
+    rc, _, err = run(capsys, "annotate", g1_file, "--oracle-check")
+    assert rc == 3
+    assert err.splitlines() == [
+        f"MISMATCH {m.predicate} at {m.path}: oracle {m.expected}, pass {m.got}"
+        for m in report.mismatches
+    ]
+
+
+def test_oracle_check_refuses_whole_graph_gamma_s_under_a_small_secure_cap(
+    capsys, tmp_path
+):
+    # g_3 has 7 leaves, so its whole-graph γ_s check runs: above a secure cap
+    # of 5 it is refused, though every per-node check fits the caps
+    p = tmp_path / "g3.cotree"
+    p.write_text(to_text(g_k(GkSpec(3))))
+    rc, _, err = run(capsys, "annotate", str(p), "--oracle-check", "--budget", "20,5")
+    assert rc == 4
+    assert err == (
+        "error: secure_domination_number oracle budget exceeded: "
+        "graph has 7 vertices, cap is 5\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +369,14 @@ def test_bench_rejects_bad_sizes(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "bench", "--sizes", "ten")
     assert rc == 2
+
+
+@pytest.mark.parametrize("repeats", ["0", "-2"])
+def test_bench_rejects_repeats_below_one_before_any_output(capsys, repeats):
+    rc, out, err = run(capsys, "bench", "--sizes", "30", "--repeats", repeats)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: repeats must be a positive integer\n"
 
 
 # ---------------------------------------------------------------------------

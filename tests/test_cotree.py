@@ -282,6 +282,13 @@ def test_lca_kind_agrees_with_materialize(t):
             assert lca_kind(t, g.labels[u], g.labels[v]) == expected
 
 
+def test_leaf_builds_its_one_node_and_rejects_bad_labels():
+    assert leaf("a1") == from_nested("a1") == parse_cotree("a1")
+    for bad in ("", "a b", "a(", "é"):
+        with pytest.raises(ValueError, match="bad leaf label"):
+            leaf(bad)
+
+
 def test_union_join_builders():
     t = join(leaf("a"), union(leaf("b"), leaf("c")))
     assert to_text(t) == "(J a (U b c))"

@@ -1,14 +1,19 @@
+import random
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from cosec.cotree import (
+    _OPPOSITE,
     JOIN,
     LEAF,
     UNION,
+    Cotree,
     canonical_key,
+    from_nested,
     is_normalized,
+    leaf,
     materialize,
     parse_cotree,
     shape_key,
@@ -113,6 +118,51 @@ def test_random_cotree_varies_with_seed():
         for s in range(8)
     }
     assert len(trees) > 1
+
+
+def _nested_random_cotree(spec: RandomSpec) -> Cotree:
+    """The nested-list builder that ``random_cotree`` replaced, verbatim: the
+    reference its pre-order arrays must equal."""
+    rng = random.Random(spec.seed)
+    if spec.leaf_count == 1:
+        return leaf("v0")
+    counter = 0
+
+    def next_label() -> str:
+        nonlocal counter
+        lbl = f"v{counter}"
+        counter += 1
+        return lbl
+
+    root: list = [rng.choice((UNION, JOIN)), []]
+    stack: list[tuple[list, int]] = [(root, spec.leaf_count)]
+    while stack:
+        node, budget = stack.pop()
+        arity = rng.randint(2, min(spec.max_arity, budget))
+        cuts = sorted(rng.sample(range(1, budget), arity - 1))
+        bounds = [0, *cuts, budget]
+        parts = [bounds[i + 1] - bounds[i] for i in range(arity)]
+        child_kind = _OPPOSITE[node[0]]
+        inner: list[tuple[list, int]] = []
+        for part in parts:
+            if part == 1:
+                node[1].append(next_label())
+            else:
+                child: list = [child_kind, []]
+                node[1].append(child)
+                inner.append((child, part))
+        stack.extend(reversed(inner))
+    return from_nested(root)
+
+
+@pytest.mark.parametrize("max_arity", [2, 3, 4, 7])
+def test_random_cotree_equals_the_nested_builder(max_arity):
+    for seed in range(250):
+        for leaves in (1, 2, 3, 5, 9, 16, 41):
+            spec = RandomSpec(leaf_count=leaves, seed=seed, max_arity=max_arity)
+            assert random_cotree(spec) == _nested_random_cotree(spec)
+    spec = RandomSpec(leaf_count=3000, seed=max_arity, max_arity=max_arity)
+    assert random_cotree(spec) == _nested_random_cotree(spec)
 
 
 def test_random_corpus_is_deterministic_and_bounded():

@@ -30,6 +30,32 @@ def test_exhaustive_n10_is_clean_with_its_findings():
     assert len(report.original_lemma_disagreements) == 1011
 
 
+def test_random_n16_corpus_is_clean_with_its_findings():
+    report = verify_corpora(random_count=5000, random_leaves=16, seed=99)
+    assert report.instances == 5000
+    assert report.ok and report.mismatches == []
+    assert len(report.original_lemma_disagreements) == 497
+    assert (report.joins_checked, report.unions_checked) == (12174, 12175)
+
+
+def test_gamma_is_checked_below_the_root(monkeypatch):
+    import cosec.verify
+
+    real = cosec.verify.annotate
+
+    def off_by_one_at_node_1(t):
+        at = real(t)
+        if len(t) > 1:
+            at._gamma[1] += 1
+        return at
+
+    monkeypatch.setattr(cosec.verify, "annotate", off_by_one_at_node_1)
+    report = verify_corpora(max_n=4)
+    assert not report.ok
+    gamma = [m for m in report.mismatches if m.predicate == "gamma"]
+    assert gamma and all(m.node == 1 and m.got == m.expected + 1 for m in gamma)
+
+
 def test_n5_finds_the_g1_disagreement():
     report = verify_corpora(max_n=5)
     assert report.ok  # disagreements are findings, not failures
