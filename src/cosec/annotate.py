@@ -25,7 +25,7 @@ so a report cannot conflate "fails the predicate" with "predicate undefined".
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .cotree import JOIN, LEAF, UNION, Cotree
 from .errors import NotAJoinError, NotNormalizedError
@@ -46,6 +46,9 @@ class NodeAnnotations:
     @property
     def gamma_is_one(self) -> bool:
         return self.gamma == 1
+
+
+_FACTS = tuple(f.name for f in fields(NodeAnnotations))
 
 
 class _AnnView(Mapping):
@@ -72,20 +75,19 @@ class _AnnView(Mapping):
         return len(self._at.tree)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class AnnotatedCotree:
-    """A cotree plus the per-node facts; immutable after ``annotate``."""
+    """A cotree plus one column per :class:`NodeAnnotations` fact, indexed
+    by node id; the column names are the fact names and the JSON keys."""
 
-    __slots__ = ("tree", "_size", "_clique", "_gamma", "_lr", "_u2c", "_po", "_pc")
-
-    def __init__(self, tree, size, clique, gamma, lr, u2c, po, pc):
-        self.tree = tree
-        self._size = size
-        self._clique = clique
-        self._gamma = gamma
-        self._lr = lr
-        self._u2c = u2c
-        self._po = po
-        self._pc = pc
+    tree: Cotree
+    size: list[int]
+    is_clique: list[bool]
+    gamma: list[int]
+    label_r: list[bool | None]
+    union_of_two_cliques: list[bool | None]
+    p_original: list[bool | None]
+    p_corrected: list[bool | None]
 
     def __len__(self) -> int:
         return len(self.tree)
@@ -95,31 +97,18 @@ class AnnotatedCotree:
         return _AnnView(self)
 
     def node(self, v: int) -> NodeAnnotations:
-        return NodeAnnotations(
-            size=self._size[v],
-            is_clique=self._clique[v],
-            gamma=self._gamma[v],
-            label_r=self._lr[v],
-            union_of_two_cliques=self._u2c[v],
-            p_original=self._po[v],
-            p_corrected=self._pc[v],
-        )
+        return NodeAnnotations(*(getattr(self, name)[v] for name in _FACTS))
 
     def to_json_nodes(self) -> list[dict]:
         """Per-node dicts in the stable report schema (None → JSON null)."""
         t = self.tree
+        columns = [(name, getattr(self, name)) for name in _FACTS]
         return [
             {
                 "id": v,
                 "kind": t.kinds[v],
                 "children": list(t.children[v]),
-                "size": self._size[v],
-                "is_clique": self._clique[v],
-                "gamma": self._gamma[v],
-                "label_r": self._lr[v],
-                "union_of_two_cliques": self._u2c[v],
-                "p_original": self._po[v],
-                "p_corrected": self._pc[v],
+                **{name: column[v] for name, column in columns},
             }
             for v in range(len(t))
         ]
@@ -207,7 +196,7 @@ def property_p_original(c: int, ann: AnnotatedCotree) -> bool:
         raise NotAJoinError(f"node {c} is {t.kinds[c]}, not a join")
     count = 0
     for u in t.children[c]:
-        if t.kinds[u] == LEAF or ann._lr[u]:
+        if t.kinds[u] == LEAF or ann.label_r[u]:
             count += 1
             if count == 2:
                 return True
@@ -222,4 +211,4 @@ def property_p_corrected(c: int, ann: AnnotatedCotree) -> bool:
         raise NotAJoinError(f"node {c} is {t.kinds[c]}, not a join")
     if property_p_original(c, ann):
         return True
-    return any(ann._u2c[u] and ann._lr[u] for u in t.children[c])
+    return any(ann.union_of_two_cliques[u] and ann.label_r[u] for u in t.children[c])

@@ -33,7 +33,7 @@ import time
 from contextlib import redirect_stdout
 from itertools import islice
 
-from .annotate import annotate
+from .annotate import _FACTS, annotate
 from .cotree import (
     _iter_node_paths,
     _node_path_width,
@@ -42,7 +42,7 @@ from .cotree import (
     to_dot,
     to_text,
 )
-from .errors import BudgetExceededError, CotreeParseError
+from .errors import BudgetExceededError
 from .generators import GkSpec, RandomSpec, g_k, random_cotree
 from .oracles import DEFAULT_BUDGET, OracleBudget
 from .verify import (
@@ -151,12 +151,12 @@ def _write_annotations_json(t, at) -> None:
     def node(v: int) -> str:
         return (
             f'    {{\n      "id": {v},\n      "kind": "{kinds[v]}",\n'
-            f'      "children": {_json_ids(children[v])},\n      "size": {at._size[v]},\n'
-            f'      "is_clique": {lit[at._clique[v]]},\n      "gamma": {at._gamma[v]},\n'
-            f'      "label_r": {lit[at._lr[v]]},\n'
-            f'      "union_of_two_cliques": {lit[at._u2c[v]]},\n'
-            f'      "p_original": {lit[at._po[v]]},\n'
-            f'      "p_corrected": {lit[at._pc[v]]}\n    }}'
+            f'      "children": {_json_ids(children[v])},\n      "size": {at.size[v]},\n'
+            f'      "is_clique": {lit[at.is_clique[v]]},\n      "gamma": {at.gamma[v]},\n'
+            f'      "label_r": {lit[at.label_r[v]]},\n'
+            f'      "union_of_two_cliques": {lit[at.union_of_two_cliques[v]]},\n'
+            f'      "p_original": {lit[at.p_original[v]]},\n'
+            f'      "p_corrected": {lit[at.p_corrected[v]]}\n    }}'
         )
 
     head = '{\n  "nodes": [\n'
@@ -171,22 +171,22 @@ def _write_table(t, at) -> None:
         len(str(len(t) - 1)),
         _node_path_width(t),
         max(map(len, t.kinds)),
-        len(str(max(at._size))),
+        len(str(max(at.size))),
         yes_no,
-        len(str(max(at._gamma))),
+        len(str(max(at.gamma))),
         *[yes_no] * 4,
     )
     fmt = [f"%-{max(len(h), w)}s" for h, w in zip(_TABLE_HEADER, widest)]
     row = "  ".join(fmt[:4]) + "  %s"  # id, path, kind, size, then the tail
     tail = "  ".join(fmt[4:])
     cell = _CELL.__getitem__
-    columns = (at._clique, at._gamma, at._lr, at._u2c, at._po, at._pc)
+    columns = [getattr(at, name) for name in _FACTS[1:]]  # the facts after size
     tails = {
         key: (tail % (cell(key[0]), key[1], *map(cell, key[2:]))).rstrip()
         for key in set(zip(*columns))
     }
     rows = zip(
-        range(len(t)), _iter_node_paths(t), t.kinds, at._size,
+        range(len(t)), _iter_node_paths(t), t.kinds, at.size,
         map(tails.__getitem__, zip(*columns)),
     )
     padded = row % (*_TABLE_HEADER[:4], tail % tuple(_TABLE_HEADER[4:]))
@@ -333,9 +333,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CotreeParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

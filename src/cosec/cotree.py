@@ -14,9 +14,10 @@ Representation notes:
   failing parse scans again to find its byte offset.  ``normalize``,
   ``subtree``, ``union`` and ``join`` copy id ranges with shifted ids.  Only
   ``from_nested`` reads nested input.
-- No Python recursion, but ``canonical_key`` / ``shape_key`` return nested
-  tuples whose comparison recurses in C: ``shape_key`` of a join of two
-  equally shaped caterpillars raises ``RecursionError`` (ROADMAP item 5).
+- No recursion, in Python or in C.  ``canonical_key`` / ``shape_key`` key a
+  subtree by height (Aho, Hopcroft and Ullman's tree isomorphism test): per
+  height, the sorted distinct (kind, label, sorted child codes) signatures,
+  a code being a (height, rank) pair, so keys nest to a fixed depth.
 - ``Cotree`` and ``Graph`` values are immutable after construction and safe to
   share between threads.  All operations here are pure functions.
 - Child order is preserved but carries no meaning; use ``canonical_key`` /
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from typing import Callable, Iterator
 
 from .errors import CotreeParseError, UnknownLeafError
@@ -47,7 +48,7 @@ UNION = "union"
 JOIN = "join"
 
 _OPPOSITE = {UNION: JOIN, JOIN: UNION}
-_OP_OF_KIND = {UNION: "U", JOIN: "J"}
+_OPEN = {UNION: "(U", JOIN: "(J"}
 _KIND_OF_OP = {"U": UNION, "J": JOIN}
 _DOT_LABEL = {UNION: "∪", JOIN: "+"}
 
@@ -192,45 +193,30 @@ def iter_set_bits(mask: int) -> Iterator[int]:
 def from_nested(nested) -> Cotree:
     """Build a Cotree from nested ``(kind, [children])`` tuples / label strings.
 
-    Assigns pre-order ids.  Raises ValueError for empty inner nodes or
-    duplicate leaf labels.
+    Assigns pre-order ids; ``Cotree.validate`` then raises ValueError for a
+    bad or duplicate leaf label, an unknown kind or an empty inner node.
     """
     kinds: list[str] = []
     children: list[list[int]] = []
     labels: list[str | None] = []
-    seen: set[str] = set()
     stack: list[tuple[object, int]] = [(nested, -1)]
     while stack:
         node, parent = stack.pop()
         nid = len(kinds)
         if parent >= 0:
             children[parent].append(nid)
+        children.append([])
         if isinstance(node, str):
-            if not node or not set(node) <= _LEAF_CHARS:
-                raise ValueError(f"bad leaf label {node!r}")
-            if node in seen:
-                raise ValueError(f"duplicate leaf label {node!r}")
-            seen.add(node)
             kinds.append(LEAF)
-            children.append([])
             labels.append(node)
         else:
             kind, kids = node
-            if kind not in (UNION, JOIN):
-                raise ValueError(f"unknown node kind {kind!r}")
-            if not kids:
-                raise ValueError("inner node with no children")
             kinds.append(kind)
-            children.append([])
             labels.append(None)
-            for kid in reversed(kids):
-                stack.append((kid, nid))
-    return Cotree(
-        kinds=tuple(kinds),
-        children=tuple(tuple(c) for c in children),
-        labels=tuple(labels),
-        root=0,
-    )
+            stack.extend((kid, nid) for kid in reversed(kids))
+    t = Cotree(tuple(kinds), tuple(map(tuple, children)), tuple(labels))
+    t.validate()
+    return t
 
 
 def leaf(label: str) -> Cotree:
@@ -380,24 +366,16 @@ def to_text(t: Cotree) -> str:
     stack: list[object] = [t.root]
     kinds = t.kinds
     while stack:
-        item = stack.pop()
-        if item is _CLOSE:
+        v = stack.pop()
+        if v is _CLOSE:
             parts.append(")")
-            continue
-        v = item
-        if kinds[v] == LEAF:
+        elif kinds[v] == LEAF:
             parts.append(t.labels[v])
         else:
-            parts.append("(" + _OP_OF_KIND[kinds[v]])
+            parts.append(_OPEN[kinds[v]])
             stack.append(_CLOSE)
-            for c in reversed(t.children[v]):
-                stack.append(c)
-    out = []
-    for i, p in enumerate(parts):
-        if i and p != ")":
-            out.append(" ")
-        out.append(p)
-    return "".join(out)
+            stack.extend(reversed(t.children[v]))
+    return " ".join(parts).replace(" )", ")")  # a label holds no space or ")"
 
 
 def to_dot(t: Cotree) -> str:
@@ -561,14 +539,31 @@ def shape_key(t: Cotree, root: int | None = None):
     return _key(t, t.root if root is None else root, with_labels=False)
 
 
-def _key(t: Cotree, root: int, with_labels: bool):
-    res: dict[int, tuple] = {}
+def _key(t: Cotree, root: int, with_labels: bool) -> tuple:
+    """Per height in root's subtree, the sorted distinct node signatures
+    ``(kind, label or None, sorted child codes)``, a node's code being
+    ``(height, rank of its signature)``.  Equal keys mean isomorphic
+    subtrees: the root is the one node of the top height, and each code
+    names a signature in the key."""
+    height: dict[int, int] = {}
     for v in reversed(range(root, _subtree_end(t, root))):
-        if t.kinds[v] == LEAF:
-            res[v] = ("L", t.labels[v]) if with_labels else ("L",)
-        else:
-            res[v] = (t.kinds[v], tuple(sorted(res[c] for c in t.children[v])))
-    return res[root]
+        height[v] = max(map(height.__getitem__, t.children[v]), default=-1) + 1
+    code: dict[int, tuple[int, int]] = {}
+    key = []
+    for h, nodes in groupby(sorted(height, key=height.get), key=height.get):
+        sigs = {
+            v: (
+                t.kinds[v],
+                t.labels[v] if with_labels else None,
+                tuple(sorted(map(code.__getitem__, t.children[v]))),
+            )
+            for v in nodes
+        }
+        level = sorted(set(sigs.values()))
+        rank = {sig: (h, i) for i, sig in enumerate(level)}
+        code.update((v, rank[sig]) for v, sig in sigs.items())
+        key.append(tuple(level))
+    return tuple(key)
 
 
 def node_paths(t: Cotree) -> tuple[str, ...]:

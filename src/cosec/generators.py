@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator
 
-from .cotree import JOIN, LEAF, UNION, Cotree, from_nested, leaf, normalize
-from .cotree import _KIND_OF_OP, _OPPOSITE
+from .cotree import _OPPOSITE, JOIN, LEAF, UNION, Cotree, leaf, normalize, parse_cotree
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,8 @@ def g_k(spec: GkSpec) -> Cotree:
     union child is the classic label-ℛ witness: its components are the
     clique {a_i} and the single vertex b.
     """
-    a_side = (JOIN, [f"a{i}" for i in range(1, spec.k + 1)])
-    nested = (JOIN, [(UNION, ["c", "d", "e"]), (UNION, [a_side, "b"])])
-    return normalize(from_nested(nested))
+    a_side = " ".join(f"a{i}" for i in range(1, spec.k + 1))
+    return normalize(parse_cotree(f"(J (U c d e) (U (J {a_side}) b))"))
 
 
 def random_cotree(spec: RandomSpec) -> Cotree:
@@ -116,7 +115,7 @@ def random_corpus(count: int, max_leaves: int, seed: int) -> Iterator[Cotree]:
 # exhaustive enumeration of small shapes
 
 _ENUMERATION_GUARD = 10
-_L = ("L",)
+_SHAPE_TEXT = {"U": "(U", "J": "(J", ")": ")"}
 
 
 def enumerate_cotrees(max_leaves: int) -> Iterator[Cotree]:
@@ -132,36 +131,37 @@ def enumerate_cotrees(max_leaves: int) -> Iterator[Cotree]:
         raise ValueError(
             f"max_leaves must be in 1..{_ENUMERATION_GUARD}, got {max_leaves}"
         )
-    memo: dict[tuple[int, str], tuple[tuple, ...]] = {}
-    for n in range(1, max_leaves + 1):
-        if n == 1:
-            yield leaf("v0")
-            continue
+    memo: dict[tuple[int, str], tuple[str, ...]] = {}
+    yield leaf("v0")
+    for n in range(2, max_leaves + 1):
         for op in ("U", "J"):
-            for shape in _shapes(n, op, memo):
-                yield _shape_to_cotree(shape)
+            yield from map(_shape_to_cotree, _shapes(n, op, memo))
 
 
-def _shapes(n: int, op: str, memo: dict) -> tuple[tuple, ...]:
+def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
     """All canonical shapes of an op-rooted normalized cotree on n leaves.
 
-    A shape is ("L",) or (op, child1, child2, …) with children sorted; the
-    children of an op node are leaves or nodes of the opposite op.
+    A shape is a flat pre-order string: "L" is a leaf, op ("U" or "J") opens
+    an inner node and ")" closes it, its children's shapes concatenated in
+    sorted order between; they are leaves or nodes of the opposite op.
+    Shapes are self-delimiting and ``")" < "J" < "L" < "U"``, so string order
+    is the order of the nested ``(op, *children)`` / ``("L",)`` tuples the
+    shapes once were, and the corpus order is unchanged.
     """
     key = (n, op)
     if key in memo:
         return memo[key]
     other = "J" if op == "U" else "U"
-    candidates: list[tuple[int, tuple]] = [(1, _L)]
+    candidates: list[tuple[int, str]] = [(1, "L")]
     for m in range(2, n):
         candidates.extend((m, s) for s in _shapes(m, other, memo))
-    out: list[tuple] = []
-    picked: list[tuple] = []
+    out: list[str] = []
+    picked: list[str] = []
 
     def extend(lo: int, remaining: int) -> None:
         if remaining == 0:
             if len(picked) >= 2:
-                out.append((op, *sorted(picked)))
+                out.append(op + "".join(sorted(picked)) + ")")
             return
         for j in range(lo, len(candidates)):
             weight, shape = candidates[j]
@@ -175,15 +175,9 @@ def _shapes(n: int, op: str, memo: dict) -> tuple[tuple, ...]:
     return memo[key]
 
 
-def _shape_to_cotree(shape: tuple) -> Cotree:
-    counter = 0
-
-    def conv(s: tuple):
-        nonlocal counter
-        if s == _L:
-            lbl = f"v{counter}"
-            counter += 1
-            return lbl
-        return (_KIND_OF_OP[s[0]], [conv(child) for child in s[1:]])
-
-    return from_nested(conv(shape))
+def _shape_to_cotree(shape: str) -> Cotree:
+    """The cotree text of a shape, leaves labeled v0, v1, … in pre-order, parsed."""
+    labels = count()
+    return parse_cotree(
+        " ".join(_SHAPE_TEXT.get(c) or f"v{next(labels)}" for c in shape)
+    )

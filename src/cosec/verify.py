@@ -139,19 +139,19 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
         mismatch("gamma_s_lower_bound", root, f">= {gamma[root]}", "less")
 
     for v in range(len(t)):
-        if gamma[v] != at._gamma[v]:
-            mismatch("gamma", v, gamma[v], at._gamma[v])
+        if gamma[v] != at.gamma[v]:
+            mismatch("gamma", v, gamma[v], at.gamma[v])
         kind = t.kinds[v]
         if kind == JOIN:
             report.joins_checked += 1
             defn = property_p_definitional_graph(graphs[v])
-            if at._pc[v] != defn:
-                mismatch("p_corrected", v, defn, at._pc[v])
-            if at._po[v] and not at._pc[v]:
+            if at.p_corrected[v] != defn:
+                mismatch("p_corrected", v, defn, at.p_corrected[v])
+            if at.p_original[v] and not at.p_corrected[v]:
                 mismatch("p_original_implies_corrected", v, True, False)
-            if at._po[v] != defn:
+            if at.p_original[v] != defn:
                 report.original_lemma_disagreements.append(
-                    OriginalLemmaFinding(*where(v), at._po[v], defn)
+                    OriginalLemmaFinding(*where(v), at.p_original[v], defn)
                 )
         elif kind == UNION:
             report.unions_checked += 1
@@ -162,10 +162,10 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
             struct = label_r_structural_graph(graphs[v])
             if defn != struct:
                 mismatch("label_r_structural", v, defn, struct)
-            if defn != at._lr[v]:
-                mismatch("label_r", v, defn, at._lr[v])
-        if at._clique[v] != complete[v]:
-            mismatch("is_clique", v, complete[v], at._clique[v])
+            if defn != at.label_r[v]:
+                mismatch("label_r", v, defn, at.label_r[v])
+        if at.is_clique[v] != complete[v]:
+            mismatch("is_clique", v, complete[v], at.is_clique[v])
 
 
 def verify_corpora(

@@ -204,7 +204,7 @@ def test_oracle_check_mismatch_paths_match_node_paths(capsys, tmp_path, monkeypa
     rc, _, err = run(capsys, "annotate", str(p), "--oracle-check")
     assert rc == 3
     t = parse_cotree(text)
-    gamma = annotate(t)._gamma
+    gamma = annotate(t).gamma
     paths = node_paths(t)
     assert "root.0.10.1" in paths
     expected = [

@@ -11,6 +11,7 @@ from cosec.cotree import (
     LEAF,
     UNION,
     Cotree,
+    _subtree_end,
     _subtree_graphs,
     canonical_key,
     complement,
@@ -24,6 +25,7 @@ from cosec.cotree import (
     node_paths,
     normalize,
     parse_cotree,
+    shape_key,
     subtree,
     subtree_leaf_labels,
     to_dot,
@@ -371,6 +373,25 @@ def test_deep_unnormalized_caterpillar_end_to_end():
     assert len(sub) == len(tn) - mid  # a caterpillar's spine node owns the rest
     assert to_text(sub) in text
     assert subtree_leaf_labels(tn, mid) == tuple(sub.labels[w] for w in sub.leaves())
+    assert canonical_key(sub) == canonical_key(tn, mid)
+    assert shape_key(t) != shape_key(tn)
+
+
+def _caterpillar(prefix: str, leaves: int) -> Cotree:
+    """(U p0 (J p1 (U p2 … p{leaves-1}))): one leaf and one inner node per level."""
+    parts = [f"({'UJ'[i % 2]} {prefix}{i} " for i in range(leaves - 1)]
+    return parse_cotree("".join(parts) + f"{prefix}{leaves - 1}" + ")" * (leaves - 1))
+
+
+def test_keys_of_a_join_of_two_deep_caterpillars():
+    # Equal shapes 10**5 levels deep: nested keys would compare level by level.
+    t = join(_caterpillar("x", 100_000), _caterpillar("y", 100_000))
+    top = shape_key(t)[-1]  # the root is the one node of the top height
+    assert len(top) == 1 and top[0][0] == JOIN
+    first, second = top[0][2]
+    assert first == second
+    first, second = canonical_key(t)[-1][0][2]
+    assert first != second
 
 
 def test_subtree_leaf_labels():
@@ -406,6 +427,30 @@ def _shuffled_children(t: Cotree, seed: int) -> Cotree:
 @settings(deadline=None)
 def test_canonical_key_ignores_child_order(t, seed):
     assert canonical_key(_shuffled_children(t, seed)) == canonical_key(t)
+
+
+def _nested_key(t: Cotree, root: int, with_labels: bool):
+    """The nested-tuple key that the height-interned keys replaced, verbatim."""
+    res: dict[int, tuple] = {}
+    for v in reversed(range(root, _subtree_end(t, root))):
+        if t.kinds[v] == LEAF:
+            res[v] = ("L", t.labels[v]) if with_labels else ("L",)
+        else:
+            res[v] = (t.kinds[v], tuple(sorted(res[c] for c in t.children[v])))
+    return res[root]
+
+
+@given(cotrees(), cotrees(), st.integers(0, 2**32))
+@settings(deadline=None)
+def test_keys_are_equal_exactly_when_the_nested_keys_are(t1, t2, seed):
+    trees = (t1, normalize(t1), _shuffled_children(t1, seed), t2, normalize(t2))
+    nodes = [(t, v) for t in trees for v in range(len(t))]
+    for key, with_labels in ((canonical_key, True), (shape_key, False)):
+        new = [key(t, v) for t, v in nodes]
+        old = [_nested_key(t, v, with_labels) for t, v in nodes]
+        for i in range(len(nodes)):
+            for j in range(i):
+                assert (new[i] == new[j]) == (old[i] == old[j])
 
 
 def test_canonical_key_distinguishes_labels_and_kinds():

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from cosec.cotree import (
+    _KIND_OF_OP,
     _OPPOSITE,
     JOIN,
     LEAF,
@@ -15,6 +16,7 @@ from cosec.cotree import (
     is_normalized,
     leaf,
     materialize,
+    normalize,
     parse_cotree,
     shape_key,
     to_text,
@@ -62,6 +64,18 @@ def test_gk_edge_set_matches_the_formula(k):
     expected |= {frozenset(("b", x)) for x in "cde"}
     expected |= {frozenset((ai, x)) for ai in a for x in "cde"}
     assert g.edge_labels() == expected
+
+
+def _nested_g_k(spec: GkSpec) -> Cotree:
+    """The nested-tuple build that ``g_k`` replaced, verbatim."""
+    a_side = (JOIN, [f"a{i}" for i in range(1, spec.k + 1)])
+    nested = (JOIN, [(UNION, ["c", "d", "e"]), (UNION, [a_side, "b"])])
+    return normalize(from_nested(nested))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gk_equals_the_nested_build(k):
+    assert g_k(GkSpec(k)) == _nested_g_k(GkSpec(k))
 
 
 def test_gk_sizes_through_k50():
@@ -228,3 +242,65 @@ def test_enumeration_alternates_kinds(exhaustive8):
             for c in t.children[v]:
                 if t.kinds[c] != LEAF:
                     assert t.kinds[c] != t.kinds[v]
+
+
+# The nested-tuple enumerator that the flat shape strings replaced, verbatim
+# but for the names and the n = 1 case taken out of the loop: the reference the corpus must equal, tree for tree and
+# in order.
+_L = ("L",)
+
+
+def _nested_shapes(n: int, op: str, memo: dict) -> tuple[tuple, ...]:
+    key = (n, op)
+    if key in memo:
+        return memo[key]
+    other = "J" if op == "U" else "U"
+    candidates: list[tuple[int, tuple]] = [(1, _L)]
+    for m in range(2, n):
+        candidates.extend((m, s) for s in _nested_shapes(m, other, memo))
+    out: list[tuple] = []
+    picked: list[tuple] = []
+
+    def extend(lo: int, remaining: int) -> None:
+        if remaining == 0:
+            if len(picked) >= 2:
+                out.append((op, *sorted(picked)))
+            return
+        for j in range(lo, len(candidates)):
+            weight, shape = candidates[j]
+            if weight <= remaining:
+                picked.append(shape)
+                extend(j, remaining - weight)
+                picked.pop()
+
+    extend(0, n)
+    memo[key] = tuple(out)
+    return memo[key]
+
+
+def _nested_shape_to_cotree(shape: tuple) -> Cotree:
+    counter = 0
+
+    def conv(s: tuple):
+        nonlocal counter
+        if s == _L:
+            lbl = f"v{counter}"
+            counter += 1
+            return lbl
+        return (_KIND_OF_OP[s[0]], [conv(child) for child in s[1:]])
+
+    return from_nested(conv(shape))
+
+
+def _nested_enumerate_cotrees(max_leaves: int) -> list[Cotree]:
+    memo: dict = {}
+    out = [leaf("v0")]
+    for n in range(2, max_leaves + 1):
+        for op in ("U", "J"):
+            out.extend(map(_nested_shape_to_cotree, _nested_shapes(n, op, memo)))
+    return out
+
+
+@pytest.mark.parametrize("max_leaves", range(1, 11))
+def test_enumeration_equals_the_nested_reference(max_leaves):
+    assert list(enumerate_cotrees(max_leaves)) == _nested_enumerate_cotrees(max_leaves)

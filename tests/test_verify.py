@@ -46,7 +46,7 @@ def test_gamma_is_checked_below_the_root(monkeypatch):
     def off_by_one_at_node_1(t):
         at = real(t)
         if len(t) > 1:
-            at._gamma[1] += 1
+            at.gamma[1] += 1
         return at
 
     monkeypatch.setattr(cosec.verify, "annotate", off_by_one_at_node_1)
