@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import groupby, islice
-from typing import Callable, Iterator
+from itertools import accumulate, groupby, islice
+from typing import Iterator
 
 from .errors import CotreeParseError, UnknownLeafError
 
@@ -262,24 +262,23 @@ def _subtree_end(t: Cotree, v: int) -> int:
     return v + 1
 
 
-def _subtree_graphs(t: Cotree, g: Graph) -> Callable[[int], Graph]:
-    """``v ↦ materialize(subtree(t, v))``, read off ``g = materialize(t)``.
+def _subtree_rows(t: Cotree, g: Graph) -> list[tuple[int, ...]]:
+    """Per node v, ``materialize(subtree(t, v)).adj``, read off ``g = materialize(t)``.
 
-    The leaves of v's subtree are the ids v … end-1 that are leaves, so they
-    are the contiguous vertices ``first[v] … first[end]-1`` of g, and the
-    subgraph they induce is one shift-and-mask per row.
+    v's subtree spans ids v … end[v]-1 (a leaf's end is v + 1, an inner node's
+    is its last child's), so its leaves are the vertices ``first[v] …
+    first[end[v]]-1`` of g, and their induced rows are one shift-and-mask each.
     """
-    first = [0]  # first[v]: leaves with an id below v
-    for kind in t.kinds:
-        first.append(first[-1] + (kind == LEAF))
-
-    def graph_of(v: int) -> Graph:
-        lo, hi = first[v], first[_subtree_end(t, v)]
-        keep = (1 << (hi - lo)) - 1
-        rows = tuple(row >> lo & keep for row in g.adj[lo:hi])
-        return Graph(hi - lo, g.labels[lo:hi], rows)
-
-    return graph_of
+    first = list(accumulate((k == LEAF for k in t.kinds), initial=0))  # leaves below id v
+    end = list(range(1, len(t) + 1))
+    rows = [(0,)] * len(t)  # a leaf's graph: one vertex, no edge
+    for v in range(len(t) - 1, -1, -1):
+        if t.children[v]:
+            end[v] = end[t.children[v][-1]]
+            lo, hi = first[v], first[end[v]]
+            keep = (1 << (hi - lo)) - 1
+            rows[v] = tuple(row >> lo & keep for row in g.adj[lo:hi])
+    return rows
 
 
 def subtree(t: Cotree, v: int) -> Cotree:

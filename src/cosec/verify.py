@@ -16,21 +16,23 @@ node of every instance: γ, the clique flag, 𝒫 at joins and label ℛ at
 unions, both definitionally and structurally.
 
 Each tree is materialized once.  Pre-order ids make the leaves of a subtree
-a contiguous run of vertices, so each node's graph is a slice of the tree's
-graph (``cotree._subtree_graphs``), built once per node.  ``check_tree``
-calls each graph-level oracle from one place, and it is the one cross-check
-path: ``cosec annotate --oracle-check`` runs it on its one tree, so the CLI
-and ``cosec verify`` check the same facts.  The tree's text and node paths
-are built only when the tree has a mismatch or a finding to report.
+a contiguous run of vertices, so each node's adjacency rows are a slice of
+the tree's graph (``cotree._subtree_rows``).  The report keeps its run's
+oracle verdicts keyed by rows, so each distinct graph is built and evaluated
+once.  ``check_tree`` is the one cross-check path, also run by ``cosec
+annotate --oracle-check``; a tree's text and node paths are built only when
+it has a mismatch or a finding to report.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 from .annotate import annotate
-from .cotree import JOIN, UNION, Cotree, _subtree_graphs, materialize, node_paths, to_text
+from .cotree import JOIN, LEAF, UNION, Cotree, Graph, materialize, node_paths, to_text
+from .cotree import _subtree_rows
 from .errors import BudgetExceededError
 from .generators import enumerate_cotrees, random_corpus
 from .oracles import (
@@ -93,6 +95,8 @@ class VerificationReport:
         default_factory=list
     )
     elapsed_ms: float = 0.0
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _nodes: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -102,21 +106,36 @@ class VerificationReport:
 def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> None:
     """Run every oracle cross-check on one normalized cotree; append results.
 
-    Every oracle is called from one place here.  A tree above the domination
-    cap is refused before any graph is built; below it no γ call can refuse,
-    so the whole-graph γ_s check still refuses before any per-node check.
+    Every oracle is called from one place here, on rows the report holds no
+    verdict for.  A tree above the domination cap is refused before any graph
+    is built; below it no γ call can refuse, so the γ_s check refuses first.
     """
     n = t.n_leaves()
     cap = budget.max_vertices_domination
     if n > cap:  # the largest graph: refuse before building any
         raise BudgetExceededError("domination_number", n, cap)
     at = annotate(t)
-    # each node's graph, built once and shared by every check at that node
-    graphs = list(map(_subtree_graphs(t, materialize(t)), range(len(t))))
-    gamma = [domination_number(g, budget) for g in graphs]
-    complete = [is_complete(g) for g in graphs]
+    rows = _subtree_rows(t, materialize(t))
+
+    def verdict(check, oracle, graph_rows, *extra):
+        """``oracle`` on unlabelled graphs with these rows, once per check and rows."""
+        memo = report._verdicts.setdefault(check, {})
+        key = graph_rows[0] if len(graph_rows) == 1 else graph_rows
+        if key not in memo:  # no oracle reads labels
+            memo[key] = oracle(*(Graph(len(r), (), r) for r in graph_rows), *extra)
+        return memo[key]
+
+    def node_verdicts(g, kind):
+        return domination_number(g, budget), is_complete(g), (
+            property_p_definitional_graph(g) if kind == JOIN
+            else kind == UNION and label_r_structural_graph(g)
+        )
+
+    # per node: γ, the clique flag, and 𝒫 at a join or structural ℛ at a union
+    facts = [verdict(kind, node_verdicts, (r,), kind) for kind, r in zip(t.kinds, rows)]
     report.instances += 1
     report.graphs_checked += 1
+    report._nodes += len(t)
     shown = None  # (text, paths): built at the first mismatch or finding
 
     def where(node):
@@ -129,43 +148,41 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     def mismatch(predicate, node, expected, got):
         report.mismatches.append(Mismatch(predicate, *where(node), expected, got))
 
-    root, g = t.root, graphs[t.root]
+    root, r, (gamma, complete, _) = t.root, (rows[t.root],), facts[t.root]
     # γ_s = 1 ⟺ complete, via the definitional singleton scan
-    if gamma_s_is_one(g) != complete[root]:
-        mismatch("gamma_s_is_one_iff_complete", root, complete[root], not complete[root])
+    if verdict("gamma_s_is_one", gamma_s_is_one, r) != complete:
+        mismatch("gamma_s_is_one_iff_complete", root, complete, not complete)
 
-    deep = n <= _DEEP_CHECK_MAX_LEAVES
-    if deep and secure_domination_number(g, budget) < gamma[root]:
-        mismatch("gamma_s_lower_bound", root, f">= {gamma[root]}", "less")
+    deep = n <= _DEEP_CHECK_MAX_LEAVES  # capped checks are keyed by the budget too
+    if deep and verdict(("gamma_s", budget), secure_domination_number, r, budget) < gamma:
+        mismatch("gamma_s_lower_bound", root, f">= {gamma}", "less")
 
-    for v in range(len(t)):
-        if gamma[v] != at.gamma[v]:
-            mismatch("gamma", v, gamma[v], at.gamma[v])
+    for v, (gamma, complete, by_kind) in enumerate(facts):
+        if gamma != at.gamma[v]:
+            mismatch("gamma", v, gamma, at.gamma[v])
         kind = t.kinds[v]
         if kind == JOIN:
             report.joins_checked += 1
-            defn = property_p_definitional_graph(graphs[v])
-            if at.p_corrected[v] != defn:
-                mismatch("p_corrected", v, defn, at.p_corrected[v])
+            if at.p_corrected[v] != by_kind:  # 𝒫, definitionally
+                mismatch("p_corrected", v, by_kind, at.p_corrected[v])
             if at.p_original[v] and not at.p_corrected[v]:
                 mismatch("p_original_implies_corrected", v, True, False)
-            if at.p_original[v] != defn:
+            if at.p_original[v] != by_kind:
                 report.original_lemma_disagreements.append(
-                    OriginalLemmaFinding(*where(v), at.p_original[v], defn)
+                    OriginalLemmaFinding(*where(v), at.p_original[v], by_kind)
                 )
         elif kind == UNION:
             report.unions_checked += 1
-            ch = t.children[v]
-            defn = len(ch) == 2 and label_r_definitional_graphs(
-                graphs[ch[0]], graphs[ch[1]], budget
+            pair = tuple(rows[c] for c in t.children[v])
+            defn = len(pair) == 2 and verdict(
+                ("label_r", budget), label_r_definitional_graphs, pair, budget
             )
-            struct = label_r_structural_graph(graphs[v])
-            if defn != struct:
-                mismatch("label_r_structural", v, defn, struct)
+            if defn != by_kind:  # ℛ, structurally
+                mismatch("label_r_structural", v, defn, by_kind)
             if defn != at.label_r[v]:
                 mismatch("label_r", v, defn, at.label_r[v])
-        if at.is_clique[v] != complete[v]:
-            mismatch("is_clique", v, complete[v], at.is_clique[v])
+        if at.is_clique[v] != complete:
+            mismatch("is_clique", v, complete, at.is_clique[v])
 
 
 def verify_corpora(
@@ -177,33 +194,33 @@ def verify_corpora(
 ) -> VerificationReport:
     """Verify the exhaustive corpus up to ``max_n`` leaves and/or a seeded
     random corpus; deterministic for fixed arguments."""
-    parts = []
+    parts, corpora = [], []
     if max_n is not None:
         parts.append(f"exhaustive cotrees with <= {max_n} leaves")
+        corpora.append(enumerate_cotrees(max_n))
     if random_count:
         parts.append(
             f"{random_count} random cotrees with <= {random_leaves} leaves"
             f" (seed {seed})"
         )
+        corpora.append(random_corpus(random_count, random_leaves, seed))
     report = VerificationReport(corpus="; ".join(parts) or "empty corpus")
     start = time.perf_counter()
-    if max_n is not None:
-        for t in enumerate_cotrees(max_n):
-            check_tree(t, report, budget)
-    if random_count:
-        for t in random_corpus(random_count, random_leaves, seed):
-            check_tree(t, report, budget)
+    for t in chain(*corpora):  # the generators build each tree when it is checked
+        check_tree(t, report, budget)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
 
 def report_text(report: VerificationReport) -> str:
+    distinct = sum(len(report._verdicts.get(kind, ())) for kind in (LEAF, UNION, JOIN))
     lines = [
         f"corpus: {report.corpus}",
         f"instances checked: {report.instances}",
         f"join nodes checked: {report.joins_checked}",
         f"union nodes checked: {report.unions_checked}",
         f"graphs checked against gamma oracle: {report.graphs_checked}",
+        f"oracle graphs evaluated: {distinct} distinct of {report._nodes} node graphs",
         f"mismatches: {len(report.mismatches)}",
     ]
     lines.extend(f"  MISMATCH {m}" for m in report.mismatches)

@@ -11,8 +11,9 @@ from cosec.cotree import (
     LEAF,
     UNION,
     Cotree,
+    Graph,
     _subtree_end,
-    _subtree_graphs,
+    _subtree_rows,
     canonical_key,
     complement,
     from_nested,
@@ -336,9 +337,11 @@ def test_array_constructors_match_their_definitions(t1, t2):
 @given(st.one_of(cotrees(), normalized_cotrees()))
 @settings(deadline=None)
 def test_subtree_graphs_are_slices_of_the_whole_graph(t):
-    graph_of = _subtree_graphs(t, materialize(t))
+    rows = _subtree_rows(t, materialize(t))
+    assert len(rows) == len(t)
     for v in range(len(t)):
-        assert graph_of(v) == materialize(subtree(t, v))  # n, labels and adj
+        graph = Graph(len(rows[v]), subtree_leaf_labels(t, v), rows[v])
+        assert graph == materialize(subtree(t, v))  # n, labels and adj
 
 
 def test_deep_unnormalized_caterpillar_end_to_end():

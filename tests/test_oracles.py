@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from cosec.cotree import (
     JOIN,
     UNION,
-    _subtree_graphs,
+    Graph,
+    _subtree_rows,
     materialize,
     parse_cotree,
     subtree,
+    subtree_leaf_labels,
     to_text,
 )
 from cosec.errors import BudgetExceededError, NotAJoinError
@@ -294,7 +296,11 @@ def _outcome(fn, *args):
 @given(st.one_of(cotrees(), normalized_cotrees()))
 @settings(deadline=None)
 def test_graph_cores_on_slices_match_the_cotree_oracles(t):
-    graph_of = _subtree_graphs(t, materialize(t))
+    rows = _subtree_rows(t, materialize(t))
+
+    def graph_of(v):
+        return Graph(len(rows[v]), subtree_leaf_labels(t, v), rows[v])
+
     budgets = (DEFAULT_BUDGET, OracleBudget(4, 3), OracleBudget(3, 1), OracleBudget(1, 1))
     for v in range(len(t)):
         assert label_r_structural_graph(graph_of(v)) == label_r_structural(t, v)

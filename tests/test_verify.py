@@ -1,10 +1,20 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from cosec.cotree import leaf, parse_cotree, shape_key, to_text, union
+from cosec.cotree import (
+    leaf,
+    materialize,
+    parse_cotree,
+    shape_key,
+    subtree,
+    to_text,
+    union,
+)
 from cosec.errors import BudgetExceededError
-from cosec.generators import GkSpec, g_k
+from cosec.generators import GkSpec, enumerate_cotrees, g_k
 from cosec.oracles import OracleBudget
 from cosec.verify import (
     VerificationReport,
@@ -13,6 +23,8 @@ from cosec.verify import (
     report_text,
     verify_corpora,
 )
+
+from strategies import normalized_cotrees
 
 
 def test_exhaustive_n4_is_totally_clean():
@@ -127,3 +139,114 @@ def test_corpus_description_names_both_sources():
     report = verify_corpora(max_n=3, random_count=5, random_leaves=6, seed=2)
     assert "exhaustive" in report.corpus
     assert "random" in report.corpus and "seed 2" in report.corpus
+
+
+_EXHAUSTIVE_6 = list(enumerate_cotrees(6))
+
+
+def _merged_outcome(reports):
+    """Counts, mismatches and findings of several reports, concatenated."""
+    return (
+        sum(r.instances for r in reports),
+        sum(r.joins_checked for r in reports),
+        sum(r.unions_checked for r in reports),
+        sum(r.graphs_checked for r in reports),
+        [m for r in reports for m in r.mismatches],
+        [f for r in reports for f in r.original_lemma_disagreements],
+    )
+
+
+@given(
+    st.lists(normalized_cotrees(), min_size=1, max_size=6),
+    st.sampled_from([None, 0, 1, 3]),
+    st.booleans(),
+)
+@settings(deadline=None, max_examples=60)
+def test_one_report_per_corpus_equals_one_report_per_tree(trees, fault, wrong_p):
+    import cosec.verify
+
+    # repeated graphs hit the memo; the exhaustive part holds unions that
+    # share one child and differ in label ℛ
+    corpus = trees + _EXHAUSTIVE_6 + trees[::-1]
+    real = cosec.verify.annotate
+
+    def off_by_one(t):
+        at = real(t)
+        if fault is not None and len(t) > fault:
+            at.gamma[fault] += 1
+        return at
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosec.verify, "annotate", off_by_one)
+        if wrong_p:  # a wrong oracle whose verdict depends on the rows alone
+            mp.setattr(
+                cosec.verify, "property_p_definitional_graph", lambda g: g.n % 3 == 0
+            )
+        whole = VerificationReport(corpus="c")
+        for t in corpus:
+            check_tree(t, whole, OracleBudget())
+        single = []
+        for t in corpus:
+            single.append(VerificationReport(corpus="c"))
+            check_tree(t, single[-1], OracleBudget())
+    merged = VerificationReport("c", *_merged_outcome(single))
+    assert whole == merged  # the memo takes no part in equality
+    assert report_json(whole) == report_json(merged)
+    assert repr(whole) == repr(merged)
+
+
+def test_gamma_oracle_runs_once_per_distinct_node_graph(monkeypatch):
+    import cosec.verify
+
+    calls = []
+    real = cosec.verify.domination_number
+
+    def counting(g, budget):
+        calls.append(g.adj)
+        return real(g, budget)
+
+    monkeypatch.setattr(cosec.verify, "domination_number", counting)
+    report = verify_corpora(max_n=6)
+    assert report.ok
+    trees = list(enumerate_cotrees(6))
+    node_rows = [materialize(subtree(t, v)).adj for t in trees for v in range(len(t))]
+    assert len(calls) == len(set(calls)) == len(set(node_rows))
+    assert set(calls) == set(node_rows)
+    assert (
+        f"oracle graphs evaluated: {len(set(node_rows))} distinct of "
+        f"{len(node_rows)} node graphs"
+    ) in report_text(report).splitlines()
+
+
+def test_no_verdict_outlives_its_run(monkeypatch):
+    import cosec.verify
+
+    assert verify_corpora(max_n=5).ok
+    monkeypatch.setattr(cosec.verify, "domination_number", lambda g, budget: 0)
+    report = verify_corpora(max_n=5)
+    gamma = {(m.cotree, m.node) for m in report.mismatches if m.predicate == "gamma"}
+    trees = list(enumerate_cotrees(5))
+    assert gamma == {(to_text(t), v) for t in trees for v in range(len(t))}
+
+
+def test_budget_refusals_are_not_cached():
+    message = (
+        "secure_domination_number oracle budget exceeded: graph has 5 vertices, cap is 4"
+    )
+    budget = OracleBudget(8, 4)
+    with pytest.raises(BudgetExceededError) as exc_info:
+        verify_corpora(max_n=7, budget=budget)
+    assert str(exc_info.value) == message
+    report = VerificationReport(corpus="exhaustive <= 7")
+    refused = None
+    for t in enumerate_cotrees(7):
+        try:
+            check_tree(t, report, budget)
+        except BudgetExceededError as exc:
+            assert str(exc) == message
+            refused = t
+            break
+    assert refused is not None
+    with pytest.raises(BudgetExceededError) as exc_info:
+        check_tree(refused, report, budget)
+    assert str(exc_info.value) == message
