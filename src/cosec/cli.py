@@ -34,14 +34,7 @@ from contextlib import redirect_stdout
 from itertools import islice
 
 from .annotate import _FACTS, annotate
-from .cotree import (
-    _iter_node_paths,
-    _node_path_width,
-    normalize,
-    parse_cotree,
-    to_dot,
-    to_text,
-)
+from .cotree import _node_paths, normalize, parse_cotree, to_dot, to_text
 from .errors import BudgetExceededError
 from .generators import GkSpec, RandomSpec, g_k, random_cotree
 from .oracles import DEFAULT_BUDGET, OracleBudget
@@ -167,9 +160,10 @@ def _write_table(t, at) -> None:
     """One row per node; each column as wide as its widest cell or header.
     The columns after ``size`` are formatted once per distinct value tuple."""
     yes_no = max(map(len, _CELL.values()))
+    path_width, paths = _node_paths(t)
     widest = (
         len(str(len(t) - 1)),
-        _node_path_width(t),
+        path_width,
         max(map(len, t.kinds)),
         len(str(max(at.size))),
         yes_no,
@@ -186,7 +180,7 @@ def _write_table(t, at) -> None:
         for key in set(zip(*columns))
     }
     rows = zip(
-        range(len(t)), _iter_node_paths(t), t.kinds, at.size,
+        range(len(t)), paths, t.kinds, at.size,
         map(tails.__getitem__, zip(*columns)),
     )
     padded = row % (*_TABLE_HEADER[:4], tail % tuple(_TABLE_HEADER[4:]))

@@ -567,35 +567,34 @@ def _key(t: Cotree, root: int, with_labels: bool) -> tuple:
 
 def node_paths(t: Cotree) -> tuple[str, ...]:
     """Human-readable child-index path per node, e.g. "root.1.0"."""
-    return tuple(_iter_node_paths(t))
+    return tuple(_node_paths(t)[1])
 
 
-def _iter_node_paths(t: Cotree) -> Iterator[str]:
-    """``node_paths`` one at a time, in id order, holding only the current
-    path's components: O(depth) memory rather than O(n·depth)."""
-    step = [0] * len(t)  # each node's index among its parent's children
-    depth = [0] * len(t)
-    chain: list[str] = []
-    for v in range(len(t)):
-        del chain[depth[v] :]
-        chain.append(str(step[v]) if depth[v] else "root")
-        yield ".".join(chain)
-        for i, c in enumerate(t.children[v]):
-            step[c] = i
-            depth[c] = depth[v] + 1
+def _node_paths(t: Cotree) -> tuple[int, Iterator[str]]:
+    """The longest path's length, and ``node_paths`` one at a time in id order.
 
+    One forward pass gives each node its path's last component ("root", or
+    "." and its child index) and its path's length.  In pre-order the path
+    before v's begins with v's parent's path, so v's path is that one cut to
+    the parent's length plus v's last component: no join over all components,
+    and O(depth) memory per path rather than O(n·depth) in all."""
+    steps = [(f".{i}", len(f".{i}")) for i in range(max(map(len, t.children)))]
+    last = ["root"] * len(t)
+    length = [len("root")] * len(t)
+    # length[v] is final when the loop reads it: children have larger ids
+    for ch, n in zip(t.children, length):
+        if ch:  # a leaf skips building an empty zip
+            for c, (step, d) in zip(ch, steps):
+                last[c] = step
+                length[c] = n + d
 
-def _node_path_width(t: Cotree) -> int:
-    """``max(map(len, _iter_node_paths(t)))`` without building a path: a
-    path is "root" and then "." and the child index per step down."""
-    step = [1 + len(str(i)) for i in range(max(map(len, t.children)))]
-    width = [len("root")] * len(t)
-    # width[v] is final when the loop reads it: children have larger ids
-    for ch, w in zip(t.children, width):
-        if ch:
-            for c, d in zip(ch, step):
-                width[c] = w + d
-    return max(width)
+    def paths() -> Iterator[str]:
+        path = ""
+        for step, n in zip(last, length):
+            path = path[: n - len(step)] + step
+            yield path
+
+    return max(length), paths()
 
 
 def subtree_leaf_labels(t: Cotree, v: int) -> tuple[str, ...]:

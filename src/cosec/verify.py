@@ -97,6 +97,7 @@ class VerificationReport:
     elapsed_ms: float = 0.0
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _nodes: int = field(default=0, init=False, repr=False, compare=False)
+    _deep_trees: int = field(default=0, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -153,9 +154,10 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     if verdict("gamma_s_is_one", gamma_s_is_one, r) != complete:
         mismatch("gamma_s_is_one_iff_complete", root, complete, not complete)
 
-    deep = n <= _DEEP_CHECK_MAX_LEAVES  # capped checks are keyed by the budget too
-    if deep and verdict(("gamma_s", budget), secure_domination_number, r, budget) < gamma:
-        mismatch("gamma_s_lower_bound", root, f">= {gamma}", "less")
+    if n <= _DEEP_CHECK_MAX_LEAVES:  # capped checks are keyed by the budget too
+        if verdict(("gamma_s", budget), secure_domination_number, r, budget) < gamma:
+            mismatch("gamma_s_lower_bound", root, f">= {gamma}", "less")
+        report._deep_trees += 1
 
     for v, (gamma, complete, by_kind) in enumerate(facts):
         if gamma != at.gamma[v]:
@@ -194,6 +196,10 @@ def verify_corpora(
 ) -> VerificationReport:
     """Verify the exhaustive corpus up to ``max_n`` leaves and/or a seeded
     random corpus; deterministic for fixed arguments."""
+    if random_count < 0:
+        raise ValueError(f"random_count must be >= 0, got {random_count}")
+    if random_count and random_leaves < 1:
+        raise ValueError(f"random_leaves must be >= 1, got {random_leaves}")
     parts, corpora = [], []
     if max_n is not None:
         parts.append(f"exhaustive cotrees with <= {max_n} leaves")
@@ -213,13 +219,30 @@ def verify_corpora(
 
 
 def report_text(report: VerificationReport) -> str:
-    distinct = sum(len(report._verdicts.get(kind, ())) for kind in (LEAF, UNION, JOIN))
+    def evaluated(*checks) -> int:
+        """Oracle evaluations for these checks: a capped check's under any budget."""
+        return sum(
+            len(memo) for check, memo in report._verdicts.items()
+            if (check[0] if isinstance(check, tuple) else check) in checks
+        )
+
+    distinct = evaluated(LEAF, UNION, JOIN)  # γ and the clique flag per node graph
     lines = [
         f"corpus: {report.corpus}",
         f"instances checked: {report.instances}",
         f"join nodes checked: {report.joins_checked}",
         f"union nodes checked: {report.unions_checked}",
-        f"graphs checked against gamma oracle: {report.graphs_checked}",
+        *(
+            f"{predicate}: {compared} compared, {n} oracle evaluations"
+            for predicate, compared, n in (
+                ("gamma, is_clique", report._nodes, distinct),
+                ("p_corrected", report.joins_checked, evaluated(JOIN)),
+                ("label_r_structural", report.unions_checked, evaluated(UNION)),
+                ("label_r", report.unions_checked, evaluated("label_r")),
+                ("gamma_s_is_one", report.instances, evaluated("gamma_s_is_one")),
+                ("gamma_s", report._deep_trees, evaluated("gamma_s")),
+            )
+        ),
         f"oracle graphs evaluated: {distinct} distinct of {report._nodes} node graphs",
         f"mismatches: {len(report.mismatches)}",
     ]

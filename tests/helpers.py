@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import cosec
-from cosec.cotree import Graph, iter_set_bits
+from cosec.cotree import Cotree, Graph, iter_set_bits
 
 
 def cosec_subprocess_env() -> dict[str, str]:
@@ -18,6 +18,29 @@ def cosec_subprocess_env() -> dict[str, str]:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + (os.pathsep + rest if rest else "")
     return env
+
+
+def reference_paths(t: Cotree):
+    """Each node's path by definition, in id order: "root" for the root, else
+    its parent's path, ".", and its index among the parent's children.
+
+    Only the paths of parents with a child still to come are kept, so a
+    caterpillar holds O(1) of them at a time.
+    """
+    parent = t.parents()
+    index = {c: i for ch in t.children for i, c in enumerate(ch)}
+    open_paths = {}
+    for v in range(len(t)):
+        p = parent[v]
+        if p < 0:
+            path = "root"
+        else:
+            path = open_paths[p] + "." + str(index[v])
+            if t.children[p][-1] == v:
+                del open_paths[p]
+        if t.children[v]:
+            open_paths[v] = path
+        yield path
 
 
 def has_induced_p4(g: Graph) -> bool:

@@ -303,6 +303,22 @@ def test_verify_without_corpus_exits_2(capsys):
     assert rc == 2 and "nothing to verify" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--random", "-5"), "random_count must be >= 0, got -5"),
+        (("--random", "5", "--leaves", "0"), "random_leaves must be >= 1, got 0"),
+        (
+            ("--max-n", "3", "--random", "2", "--leaves", "-1"),
+            "random_leaves must be >= 1, got -1",
+        ),
+    ],
+)
+def test_verify_bad_random_arguments_exit_2(capsys, args, message):
+    rc, out, err = run(capsys, "verify", *args)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_guard_exits_2(capsys):
     rc, _, err = run(capsys, "verify", "--max-n", "11")
     assert rc == 2 and "max_leaves" in err

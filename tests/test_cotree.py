@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 import hypothesis.strategies as st
@@ -12,6 +13,7 @@ from cosec.cotree import (
     UNION,
     Cotree,
     Graph,
+    _node_paths,
     _subtree_end,
     _subtree_rows,
     canonical_key,
@@ -36,6 +38,7 @@ from cosec.cotree import (
 )
 from cosec.errors import CotreeParseError, UnknownLeafError
 
+from helpers import reference_paths
 from strategies import cotrees, normalized_cotrees
 
 G1_TEXT = "(J (U c d e) (U (J a1) b))"
@@ -405,6 +408,46 @@ def test_subtree_leaf_labels():
 def test_node_paths():
     t = parse_cotree("(J a (U b c))")
     assert node_paths(t) == ("root", "root.0", "root.1", "root.1.0", "root.1.1")
+
+
+@given(normalized_cotrees())
+@settings(max_examples=200, deadline=None)
+def test_node_paths_match_the_reference_definition(t):
+    paths = node_paths(t)
+    assert paths == tuple(reference_paths(t))
+    assert _node_paths(t)[0] == max(map(len, paths))
+
+
+def test_node_paths_with_multi_digit_child_indices():
+    # root.0.10 has two children, whose paths are the widest; root.0.100 has
+    # a three-digit index
+    text = (
+        "(U (J " + " ".join(f"x{i}" for i in range(10)) + " (U a b) "
+        + " ".join(f"y{i}" for i in range(11, 101)) + ") c)"
+    )
+    t = parse_cotree(text)
+    paths = node_paths(t)
+    assert paths == tuple(reference_paths(t))
+    assert {"root.0.10.1", "root.0.100", "root.1"} <= set(paths)
+    assert _node_paths(t)[0] == len("root.0.10.1")
+
+
+def test_node_paths_of_a_deep_caterpillar_stream_in_o_depth_memory():
+    t = _caterpillar("x", 20_000)
+    width, paths = _node_paths(t)
+    for path, expected in zip(paths, reference_paths(t), strict=True):
+        assert path == expected
+    assert width == len(path) == len("root") + 2 * (20_000 - 1)
+    total = 0
+    tracemalloc.start()
+    try:
+        for path in _node_paths(t)[1]:
+            total += len(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total > 4 * 10**8  # O(n·depth) characters in all
+    assert peak < total // 100
 
 
 def _shuffled_children(t: Cotree, seed: int) -> Cotree:

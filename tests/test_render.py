@@ -1,7 +1,8 @@
 """Byte identity of the streaming writers behind ``cosec annotate`` and
 ``cosec parse --json`` with the reference renderers they replaced: one
 ``json.dumps(..., indent=2)`` of ``to_json``/``to_json_nodes`` and the
-row-list table builder, kept here verbatim."""
+row-list table builder, kept here verbatim, with paths from the test-side
+definition in ``helpers.reference_paths``."""
 
 import io
 import json
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 
 from cosec.annotate import annotate
 from cosec.cli import _BATCH, _BATCH_CHARS, main
-from cosec.cotree import node_paths, normalize, parse_cotree, to_json, to_text
+from cosec.cotree import normalize, parse_cotree, to_json, to_text
 from cosec.generators import RandomSpec, random_cotree
 
+from helpers import reference_paths
 from strategies import cotrees
 
 
@@ -31,7 +33,7 @@ def _fmt(value) -> str:
 
 def reference_table(t) -> str:
     at = annotate(t)
-    paths = node_paths(t)
+    paths = list(reference_paths(t))
     header = (
         "id",
         "path",

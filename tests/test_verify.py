@@ -14,7 +14,7 @@ from cosec.cotree import (
     union,
 )
 from cosec.errors import BudgetExceededError
-from cosec.generators import GkSpec, enumerate_cotrees, g_k
+from cosec.generators import GkSpec, enumerate_cotrees, g_k, random_corpus
 from cosec.oracles import OracleBudget
 from cosec.verify import (
     VerificationReport,
@@ -133,6 +133,63 @@ def test_a_finding_below_the_root_carries_its_own_path():
 def test_tight_budget_propagates():
     with pytest.raises(BudgetExceededError):
         verify_corpora(max_n=5, budget=OracleBudget(3, 3))
+
+
+def test_report_text_counts_comparisons_and_oracle_calls_per_predicate(monkeypatch):
+    import cosec.verify
+
+    calls = {}
+
+    def counting(name):
+        real = getattr(cosec.verify, name)
+
+        def oracle(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(cosec.verify, name, oracle)
+
+    for name in (
+        "domination_number", "is_complete", "property_p_definitional_graph",
+        "label_r_structural_graph", "label_r_definitional_graphs",
+        "gamma_s_is_one", "secure_domination_number",
+    ):
+        counting(name)
+    report = verify_corpora(max_n=7, random_count=60, random_leaves=11, seed=4)
+    assert calls["domination_number"] == calls["is_complete"]
+    trees = [*enumerate_cotrees(7), *random_corpus(60, 11, 4)]
+    nodes = sum(map(len, trees))
+    deep = sum(t.n_leaves() <= 8 for t in trees)
+    assert 0 < deep < len(trees)
+    lines = report_text(report).splitlines()
+    for predicate, compared, oracle in (
+        ("gamma, is_clique", nodes, "domination_number"),
+        ("p_corrected", report.joins_checked, "property_p_definitional_graph"),
+        ("label_r_structural", report.unions_checked, "label_r_structural_graph"),
+        ("label_r", report.unions_checked, "label_r_definitional_graphs"),
+        ("gamma_s_is_one", len(trees), "gamma_s_is_one"),
+        ("gamma_s", deep, "secure_domination_number"),
+    ):
+        line = f"{predicate}: {compared} compared, {calls[oracle]} oracle evaluations"
+        assert line in lines
+    assert not any(line.startswith("graphs checked") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"random_count": -5}, "random_count must be >= 0, got -5"),
+        ({"random_count": 5, "random_leaves": 0}, "random_leaves must be >= 1, got 0"),
+    ],
+)
+def test_bad_random_corpus_arguments_raise(kwargs, message):
+    with pytest.raises(ValueError) as exc_info:
+        verify_corpora(max_n=3, **kwargs)
+    assert str(exc_info.value) == message
+
+
+def test_random_leaves_is_unused_without_a_random_corpus():
+    assert verify_corpora(max_n=3, random_leaves=0).instances == 1 + 2 + 4
 
 
 def test_corpus_description_names_both_sources():
