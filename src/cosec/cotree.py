@@ -462,31 +462,39 @@ def normalize(t: Cotree) -> Cotree:
 
 def materialize(t: Cotree) -> Graph:
     """The graph a cotree denotes: one vertex per leaf (in id order), an edge
-    where the lowest common ancestor is a join node."""
-    leaf_ids = [v for v in range(len(t)) if t.kinds[v] == LEAF]
-    index = {v: i for i, v in enumerate(leaf_ids)}
-    n = len(leaf_ids)
-    adj = [0] * n
+    where the lowest common ancestor is a join node.
+
+    Two linear passes: bottom up, each node's leaves as a mask; top down,
+    each node's ``outside``, the vertices that every leaf below it is joined
+    to by some ancestor.  A join hands each child its own ``outside`` plus
+    the other children's leaves, and a leaf's row is its ``outside``.
+    """
+    kinds, children = t.kinds, t.children
+    leaf_ids = [v for v, k in enumerate(kinds) if k == LEAF]
     masks = [0] * len(t)
+    for i, v in enumerate(leaf_ids):
+        masks[v] = 1 << i
     for v in range(len(t) - 1, -1, -1):
-        kind = t.kinds[v]
-        if kind == LEAF:
-            masks[v] = 1 << index[v]
-            continue
-        total = 0
-        for c in t.children[v]:
-            total |= masks[c]
-        masks[v] = total
+        if children[v]:
+            total = 0
+            for c in children[v]:
+                total |= masks[c]
+            masks[v] = total
+    outside = [0] * len(t)
+    for v, kind in enumerate(kinds):
         if kind == JOIN:
-            for c in t.children[v]:
-                other = total ^ masks[c]
-                if other:
-                    for u in iter_set_bits(masks[c]):
-                        adj[u] |= other
+            total, above = masks[v], outside[v]
+            for c in children[v]:
+                outside[c] = above | (total ^ masks[c])
+        elif outside[v]:  # a union passes its own on; a leaf has no children
+            above = outside[v]
+            for c in children[v]:
+                outside[c] = above
+    labels = t.labels
     return Graph(
-        n=n,
-        labels=tuple(t.labels[v] for v in leaf_ids),
-        adj=tuple(adj),
+        len(leaf_ids),
+        tuple([labels[v] for v in leaf_ids]),
+        tuple([outside[v] for v in leaf_ids]),
     )
 
 

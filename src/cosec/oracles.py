@@ -14,6 +14,15 @@ graphs where γ and γ_s are small.  Graphs above the configured vertex caps
 raise :class:`~cosec.errors.BudgetExceededError` instead of degrading to a
 heuristic.
 
+A set S dominates when its closed neighbourhood N[S], the union of N[v] over
+v ∈ S, is all of V.  The swap test of secure domination, "(S ∪ {x}) ∖ {y}
+dominates" for an outsider x and a neighbour y ∈ S, is evaluated as
+N[S ∖ {y}] ∪ N[x] = V.  That is the same set: N distributes over union and
+x ∉ S.  N[S ∖ {y}] is built once per guard y, as the union of a prefix and a
+suffix of the members' closed neighbourhoods, so one check costs O(|S|)
+unions plus one OR per (x, y) pair it tries.  Every pair is still tried in
+the written order, and only a set that dominates is checked for security.
+
 The three Cotree-level checks (``property_p_definitional``,
 ``label_r_definitional``, ``label_r_structural``) are thin wrappers that
 build the graphs of the nodes they ask about and call a graph-level function
@@ -33,7 +42,6 @@ from .cotree import (
     UNION,
     Cotree,
     Graph,
-    iter_set_bits,
     materialize,
     normalize,
     subtree,
@@ -81,28 +89,63 @@ def as_mask(g: Graph, s: VertexSet) -> int:
 
 def is_dominating(g: Graph, s: VertexSet) -> bool:
     """Does every vertex outside s have a neighbor in s?"""
-    mask = as_mask(g, s)
-    cover = mask
-    for v in iter_set_bits(mask):
-        cover |= g.adj[v]
-    return cover == g.full_mask
+    return _cover(g.adj, as_mask(g, s)) == g.full_mask
 
 
 def is_secure_dominating(g: Graph, s: VertexSet) -> bool:
     """Dominating, and every outsider x has a neighbor y in s whose swap
     (s ∪ {x}) ∖ {y} still dominates."""
     mask = as_mask(g, s)
-    if not is_dominating(g, mask):
-        return False
-    adj = g.adj
-    for x in iter_set_bits(g.full_mask & ~mask):
-        guarded = False
-        for y in iter_set_bits(adj[x] & mask):
-            if is_dominating(g, (mask | 1 << x) & ~(1 << y)):
-                guarded = True
+    full = g.full_mask
+    return _cover(g.adj, mask) == full and _swaps_dominate(g.adj, full, mask)
+
+
+def _cover(adj: tuple[int, ...], mask: int) -> int:
+    """N[mask]: the vertices in mask and all their neighbours."""
+    cover = mask
+    while mask:
+        low = mask & -mask
+        cover |= adj[low.bit_length() - 1]
+        mask ^= low
+    return cover
+
+
+def _swaps_dominate(adj: tuple[int, ...], full: int, mask: int) -> bool:
+    """The security half of ``is_secure_dominating`` for a dominating mask:
+    every outsider x has a neighbour y in mask with N[mask ∖ {y}] ∪ N[x] = V.
+
+    N[mask ∖ {y}] is the union of the closed neighbourhoods before y and
+    those after it: one prefix and one suffix pass over the members.
+    """
+    members = []  # (bit, closed neighbourhood) per member, ascending
+    rest = mask
+    while rest:
+        low = rest & -rest
+        members.append((low, adj[low.bit_length() - 1] | low))
+        rest ^= low
+    without = {}  # guard bit -> N[mask ∖ {guard}]
+    suffix = 0
+    for low, nbhd in reversed(members):
+        without[low] = suffix
+        suffix |= nbhd
+    prefix = 0
+    for low, nbhd in members:
+        without[low] |= prefix
+        prefix |= nbhd
+    outside = full & ~mask
+    while outside:
+        xbit = outside & -outside
+        x = xbit.bit_length() - 1
+        reach = adj[x] | xbit
+        guards = adj[x] & mask
+        while guards:
+            low = guards & -guards
+            if without[low] | reach == full:
                 break
-        if not guarded:
+            guards ^= low
+        else:
             return False
+        outside ^= xbit
     return True
 
 
@@ -124,16 +167,29 @@ def domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
 
 
 def secure_domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """γ_s(g) by ascending-cardinality subset scan."""
+    """γ_s(g) by ascending-cardinality subset scan.
+
+    Each candidate is tested for domination by one OR of its members' closed
+    neighbourhoods; only a dominating candidate goes on to the swap test,
+    which evaluates each swap (S ∪ {x}) ∖ {y} as N[S ∖ {y}] ∪ N[x] (see the
+    module docstring).  Both are the definition, evaluated on bitmasks.
+    """
     cap = budget.max_vertices_secure
     if g.n > cap:
         raise BudgetExceededError("secure_domination_number", g.n, cap)
+    adj, full = g.adj, g.full_mask
+    closed = [g.closed_mask(v) for v in range(g.n)]
     for k in range(1, g.n + 1):
         for sub in combinations(range(g.n), k):
+            cover = 0
+            for v in sub:
+                cover |= closed[v]
+            if cover != full:
+                continue
             mask = 0
             for v in sub:
                 mask |= 1 << v
-            if is_secure_dominating(g, mask):
+            if _swaps_dominate(adj, full, mask):
                 return k
     raise AssertionError("V(g) always secure-dominates")  # pragma: no cover
 
@@ -141,9 +197,13 @@ def secure_domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) ->
 def is_clique(g: Graph, s: VertexSet) -> bool:
     """All pairs in s adjacent; vacuously true for |s| ≤ 1 (and empty s)."""
     mask = as_mask(g, s)
-    for v in iter_set_bits(mask):
-        if mask & ~(1 << v) & ~g.adj[v]:
+    adj = g.adj
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if (mask ^ low) & ~adj[low.bit_length() - 1]:
             return False
+        rest ^= low
     return True
 
 
@@ -167,9 +227,16 @@ def gamma_s_is_one(g: Graph) -> bool:
 
     Singleton round of ``secure_domination_number``; polynomial.  Kept as a
     scan over the definition (not the "complete graph" shortcut) so it can
-    serve as an independent check of that very equivalence.
+    serve as an independent check of that very equivalence.  A vertex v
+    whose closed neighbourhood is all of V dominates; the swap test then
+    asks, for each outsider x, whether N[∅] ∪ N[x] = V, which is the
+    domination of {x}, the set the swap leaves.
     """
-    return any(is_secure_dominating(g, 1 << v) for v in range(g.n))
+    adj, full = g.adj, g.full_mask
+    return any(
+        adj[v] | 1 << v == full and _swaps_dominate(adj, full, 1 << v)
+        for v in range(g.n)
+    )
 
 
 def property_p_definitional(t: Cotree) -> bool:
@@ -280,9 +347,6 @@ def _is_connected(g: Graph) -> bool:
     seen = 1
     frontier = 1
     while frontier:
-        grown = 0
-        for v in iter_set_bits(frontier):
-            grown |= g.adj[v]
-        frontier = grown & ~seen
+        frontier = _cover(g.adj, frontier) & ~seen
         seen |= frontier
     return seen == g.full_mask

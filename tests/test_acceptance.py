@@ -6,6 +6,7 @@ The corpora are the session fixtures from conftest: every normalized cotree
 shape with <= 8 leaves, plus 5000 seeded random cotrees with <= 14 leaves.
 """
 
+import gc
 import json
 import statistics
 import subprocess
@@ -189,20 +190,31 @@ def test_criterion_6_smallest_counterexample_search():
     )
 
 
-def _median_annotate_seconds(leaves: int, repeats: int = 5) -> tuple[float, int]:
-    t = random_cotree(RandomSpec(leaf_count=leaves, seed=7))
-    annotate(t)  # warmup so allocator and cache effects do not skew the ratio
-    times = []
+def _median_annotate_seconds(
+    *leaf_counts: int, repeats: int = 5
+) -> list[tuple[float, int]]:
+    """Median ``annotate`` time and node count per tree size.
+
+    Every tree is built and annotated once before any is timed, so all are
+    timed in the same heap.  The timed calls alternate between the sizes,
+    with garbage collected before each, so a change of host load during the
+    test reaches every size alike rather than one median alone.
+    """
+    trees = [random_cotree(RandomSpec(leaf_count=n, seed=7)) for n in leaf_counts]
+    for t in trees:
+        annotate(t)  # warmup so allocator and cache effects do not skew the ratio
+    times = [[] for _ in trees]
     for _ in range(repeats):
-        start = time.perf_counter()
-        annotate(t)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), len(t)
+        for t, timed in zip(trees, times):
+            gc.collect()
+            start = time.perf_counter()
+            annotate(t)
+            timed.append(time.perf_counter() - start)
+    return [(statistics.median(timed), len(t)) for t, timed in zip(trees, times)]
 
 
 def test_criterion_7_annotation_scales_linearly():
-    t_small, _ = _median_annotate_seconds(10**5)
-    t_big, nodes_big = _median_annotate_seconds(10**6)
+    (t_small, _), (t_big, nodes_big) = _median_annotate_seconds(10**5, 10**6)
     ratio = t_big / t_small
     ns_per_node = t_big * 1e9 / nodes_big
     _verdict(

@@ -270,8 +270,8 @@ def test_gamma_oracle_runs_once_per_distinct_node_graph(monkeypatch):
     assert len(calls) == len(set(calls)) == len(set(node_rows))
     assert set(calls) == set(node_rows)
     assert (
-        f"oracle graphs evaluated: {len(set(node_rows))} distinct of "
-        f"{len(node_rows)} node graphs"
+        f"gamma, is_clique: {len(node_rows)} compared, "
+        f"{len(set(node_rows))} oracle evaluations"
     ) in report_text(report).splitlines()
 
 
