@@ -6,7 +6,7 @@ from itertools import combinations
 from pathlib import Path
 
 import cosec
-from cosec.cotree import Cotree, Graph, iter_set_bits
+from cosec.cotree import JOIN, UNION, Cotree, Graph, iter_set_bits
 
 
 def cosec_subprocess_env() -> dict[str, str]:
@@ -41,6 +41,24 @@ def reference_paths(t: Cotree):
         if t.children[v]:
             open_paths[v] = path
         yield path
+
+
+def deep_unnormalized_caterpillar(levels: int) -> tuple[str, list[str]]:
+    """Cotree text ``levels`` nested levels deep, and the kinds of its
+    branching spine levels in order.  The kind flips at two steps in three
+    (the third repeats its parent's kind) and every other level is a unary
+    wrapper."""
+    parts, spine, kind = [], [], UNION
+    for i in range(levels):
+        if i % 3 != 2:
+            kind = JOIN if kind == UNION else UNION
+        op = "J" if kind == JOIN else "U"
+        if i % 2:
+            parts.append(f"({op} ")
+        else:
+            parts.append(f"({op} x{i} ")
+            spine.append(kind)
+    return "".join(parts) + "end" + ")" * levels, spine
 
 
 def has_induced_p4(g: Graph) -> bool:

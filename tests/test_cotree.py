@@ -38,7 +38,7 @@ from cosec.cotree import (
 )
 from cosec.errors import CotreeParseError, UnknownLeafError
 
-from helpers import reference_paths
+from helpers import deep_unnormalized_caterpillar, reference_paths
 from strategies import cotrees, normalized_cotrees
 
 G1_TEXT = "(J (U c d e) (U (J a1) b))"
@@ -348,20 +348,9 @@ def test_subtree_graphs_are_slices_of_the_whole_graph(t):
 
 
 def test_deep_unnormalized_caterpillar_end_to_end():
-    # 10**5 nested levels: the kind flips at two steps in three (the third
-    # repeats its parent's kind) and every other level is a unary wrapper.
     levels = 100_000
-    parts, spine, kind = [], [], UNION
-    for i in range(levels):
-        if i % 3 != 2:
-            kind = JOIN if kind == UNION else UNION
-        op = "J" if kind == JOIN else "U"
-        if i % 2:
-            parts.append(f"({op} ")
-        else:
-            parts.append(f"({op} x{i} ")
-            spine.append(kind)
-    t = parse_cotree("".join(parts) + "end" + ")" * levels)
+    text, spine = deep_unnormalized_caterpillar(levels)
+    t = parse_cotree(text)
     assert len(t) == levels + len(spine) + 1
 
     tn = normalize(t)

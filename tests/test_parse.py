@@ -1,6 +1,8 @@
 """The token-loop ``parse_cotree`` against the character-loop parser it
 replaced, kept here verbatim as the reference: the same ``Cotree`` for every
-string, or the same ``CotreeParseError`` message and byte offset."""
+string, or the same ``CotreeParseError`` message and byte offset.  Its
+``str.split`` tokenizer against ``_TOKEN.findall``, whose token indices the
+error offsets are counted in."""
 
 import random
 import subprocess
@@ -10,7 +12,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cosec.cotree import JOIN, LEAF, UNION, Cotree, parse_cotree, to_text
+from cosec.cotree import (
+    _OUTSIDE,
+    _TOKEN,
+    JOIN,
+    LEAF,
+    UNION,
+    Cotree,
+    _tokenize,
+    parse_cotree,
+    to_text,
+)
 from cosec.errors import CotreeParseError
 from cosec.generators import RandomSpec, random_cotree
 
@@ -159,6 +171,53 @@ def test_every_parse_failure_has_an_in_range_byte_offset(text):
         assert str(exc).startswith(f"syntax error at byte {exc.offset}: ")
     else:
         t.validate()
+
+
+# The grammar's characters and the whitespace it allows.
+_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_() \t\r\n"
+
+
+@given(st.text(st.sampled_from(_ALPHABET), max_size=60))
+@settings(deadline=None, max_examples=500)
+def test_split_tokens_are_the_regex_tokens_in_the_grammar_alphabet(text):
+    assert _OUTSIDE.search(text) is None
+    assert _tokenize(text) == _TOKEN.findall(text)
+
+
+# Characters the grammar does not allow, among them what ``str.split``
+# treats as whitespace but the grammar does not.
+_OTHERS = st.one_of(
+    st.sampled_from("\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000,-à😀"),
+    st.characters().filter(lambda c: c not in _ALPHABET),
+)
+
+
+@given(st.text(st.sampled_from(_ALPHABET), max_size=30), _OTHERS,
+       st.text(st.sampled_from(_ALPHABET), max_size=30))
+@settings(deadline=None, max_examples=500)
+def test_any_other_character_takes_the_regex_tokens(before, other, after):
+    text = before + other + after
+    assert _OUTSIDE.search(text) is not None
+    assert _tokenize(text) == _TOKEN.findall(text)
+    text = before + "\u2028" + after
+    assert _tokenize(text) == _TOKEN.findall(text)
+
+
+# Recorded from the parser as it was before the ``str.split`` tokenizer.
+@pytest.mark.parametrize("text, offset, message", [
+    ("a b\xa0", 2, "trailing content after complete cotree"),
+    ("(U a))\x0b", 5, "unbalanced ')'"),
+    ("(U a a\x0c)", 5, "duplicate leaf label 'a'"),
+    ("(U a b)\u2028", 7, r"unexpected character '\u2028'"),  # the repr
+    ("(X a\x85 b)", 1, "expected operator U or J after '('"),
+])
+def test_split_whitespace_outside_the_grammar_keeps_its_error(text, offset, message):
+    with pytest.raises(CotreeParseError) as info:
+        parse_cotree(text)
+    assert (info.value.offset, str(info.value)) == (
+        offset, f"syntax error at byte {offset}: {message}"
+    )
+    assert _outcome(reference_parse_cotree, text) == (str(info.value), offset)
 
 
 def test_failing_strings_piped_to_the_cli_exit_2():
