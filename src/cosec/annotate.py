@@ -174,7 +174,7 @@ def annotate(t: Cotree) -> AnnotatedCotree:
                     all_cliques = False
                 if kc == LEAF or lr[c]:
                     eligible += 1
-                if u2c[c] and lr[c]:
+                if u2c[c]:  # a clique has γ = 1, so two clique children give ℛ
                     has_two_clique_child = True
             size[v] = s
             clique[v] = all_cliques

@@ -189,6 +189,8 @@ def _write_table(t, at) -> None:
 
 
 def cmd_annotate(args) -> int:
+    if args.oracle_check or args.budget is not None:  # a bad one fails before output
+        budget = _resolve_budget(args.budget)
     t = normalize(parse_cotree(_read_source(args.file)))
     at = annotate(t)
     if args.json:
@@ -197,7 +199,7 @@ def cmd_annotate(args) -> int:
         _write_table(t, at)
     if args.oracle_check:
         report = VerificationReport(corpus=args.file)
-        check_tree(t, report, _resolve_budget(args.budget))
+        check_tree(t, report, budget)
         for m in report.mismatches:
             print(
                 f"MISMATCH {m.predicate} at {m.path}: oracle {m.expected}, pass {m.got}",

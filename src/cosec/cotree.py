@@ -276,17 +276,16 @@ def _subtree_end(t: Cotree, v: int) -> int:
 def _subtree_rows(t: Cotree, g: Graph) -> list[tuple[int, ...]]:
     """Per node v, ``materialize(subtree(t, v)).adj``, read off ``g = materialize(t)``.
 
-    v's subtree spans ids v … end[v]-1 (a leaf's end is v + 1, an inner node's
-    is its last child's), so its leaves are the vertices ``first[v] …
-    first[end[v]]-1`` of g, and their induced rows are one shift-and-mask each.
+    v's leaves are g's vertices from ``first[v]`` up to the end of its last
+    child's, whose rows the reverse pass has already built, one per leaf.
+    Their induced rows are one shift-and-mask each.
     """
     first = list(accumulate((k == LEAF for k in t.kinds), initial=0))  # leaves below id v
-    end = list(range(1, len(t) + 1))
     rows = [(0,)] * len(t)  # a leaf's graph: one vertex, no edge
     for v in range(len(t) - 1, -1, -1):
         if t.children[v]:
-            end[v] = end[t.children[v][-1]]
-            lo, hi = first[v], first[end[v]]
+            last = t.children[v][-1]
+            lo, hi = first[v], first[last] + len(rows[last])
             keep = (1 << (hi - lo)) - 1
             rows[v] = tuple(row >> lo & keep for row in g.adj[lo:hi])
     return rows
@@ -641,8 +640,3 @@ def _node_paths(t: Cotree) -> tuple[int, Iterator[str]]:
             yield path
 
     return max(length), paths()
-
-
-def subtree_leaf_labels(t: Cotree, v: int) -> tuple[str, ...]:
-    """Labels of the leaves under node v, in id order."""
-    return tuple(lbl for lbl in t.labels[v : _subtree_end(t, v)] if lbl is not None)

@@ -45,7 +45,6 @@ from .cotree import (
     materialize,
     normalize,
     subtree,
-    subtree_leaf_labels,
 )
 from .errors import BudgetExceededError, NotAJoinError
 
@@ -285,10 +284,10 @@ def label_r_definitional(
         return False
 
     def graph_of(v: int) -> Graph:
-        size = len(subtree_leaf_labels(t, v))
-        if size > budget.max_vertices_domination:
-            return Graph(size, (), ())
-        return materialize(subtree(t, v))
+        sub = subtree(t, v)
+        if sub.n_leaves() > budget.max_vertices_domination:
+            return Graph(sub.n_leaves(), (), ())
+        return materialize(sub)
 
     a, b = t.children[u]
     return label_r_definitional_graphs(graph_of(a), graph_of(b), budget)

@@ -110,6 +110,7 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     Every oracle is called from one place here, on rows the report holds no
     verdict for.  A tree above the domination cap is refused before any graph
     is built; below it no γ call can refuse, so the γ_s check refuses first.
+    Verdicts are keyed by check and rows alone: one report, one budget.
     """
     n = t.n_leaves()
     cap = budget.max_vertices_domination
@@ -154,8 +155,8 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     if verdict("gamma_s_is_one", gamma_s_is_one, r) != complete:
         mismatch("gamma_s_is_one_iff_complete", root, complete, not complete)
 
-    if n <= _DEEP_CHECK_MAX_LEAVES:  # capped checks are keyed by the budget too
-        if verdict(("gamma_s", budget), secure_domination_number, r, budget) < gamma:
+    if n <= _DEEP_CHECK_MAX_LEAVES:
+        if verdict("gamma_s", secure_domination_number, r, budget) < gamma:
             mismatch("gamma_s_lower_bound", root, f">= {gamma}", "less")
         report._deep_trees += 1
 
@@ -177,7 +178,7 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
             report.unions_checked += 1
             pair = tuple(rows[c] for c in t.children[v])
             defn = len(pair) == 2 and verdict(
-                ("label_r", budget), label_r_definitional_graphs, pair, budget
+                "label_r", label_r_definitional_graphs, pair, budget
             )
             if defn != by_kind:  # ℛ, structurally
                 mismatch("label_r_structural", v, defn, by_kind)
@@ -220,11 +221,7 @@ def verify_corpora(
 
 def report_text(report: VerificationReport) -> str:
     def evaluated(*checks) -> int:
-        """Oracle evaluations for these checks: a capped check's under any budget."""
-        return sum(
-            len(memo) for check, memo in report._verdicts.items()
-            if (check[0] if isinstance(check, tuple) else check) in checks
-        )
+        return sum(len(report._verdicts.get(c, ())) for c in checks)
 
     lines = [
         f"corpus: {report.corpus}",

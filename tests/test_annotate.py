@@ -89,6 +89,19 @@ def test_annotate_finds_one_violation_at_the_bottom_of_a_deep_caterpillar():
         annotate(t)
 
 
+def test_join_rules_at_the_deepest_join_of_a_deep_caterpillar():
+    levels = 100_000
+    t = parse_cotree(_caterpillar(levels, "UJ"[(levels - 1) % 2]))
+    at = annotate(t)
+    joins = [v for v, k in enumerate(t.kinds) if k == JOIN]
+    deepest = joins[-1]
+    assert t.children[deepest] == (len(t) - 2, len(t) - 1)  # (J y z)
+    assert property_p_original(deepest, at) and property_p_corrected(deepest, at)
+    for v in joins:
+        assert property_p_original(v, at) == at.p_original[v]
+        assert property_p_corrected(v, at) == at.p_corrected[v]
+
+
 def test_annotate_runs_no_separate_normalization_pass(monkeypatch, tmp_path):
     calls = []
 

@@ -160,8 +160,29 @@ def test_budget_flag_beats_env_var(capsys, g1_file, monkeypatch):
 
 
 def test_malformed_budget_exits_2(capsys, g1_file):
-    rc, _, err = run(capsys, "annotate", g1_file, "--oracle-check", "--budget", "x,y")
+    rc, out, err = run(capsys, "annotate", g1_file, "--oracle-check", "--budget", "x,y")
     assert rc == 2 and "bad budget" in err
+    assert out == ""
+
+
+def test_malformed_budget_from_the_env_exits_2_before_any_output(
+    capsys, g1_file, monkeypatch
+):
+    monkeypatch.setenv("COSEC_BUDGET", "5,9")
+    rc, out, err = run(capsys, "annotate", g1_file, "--oracle-check")
+    assert (rc, out) == (2, "")
+    assert err == "error: bad budget '5,9': secure cap must not exceed domination cap\n"
+    # a plain annotate reads no budget
+    rc, out, _ = run(capsys, "annotate", g1_file)
+    assert rc == 0 and out.startswith("id ")
+
+
+def test_malformed_budget_flag_without_oracle_check_exits_2(capsys, g1_file):
+    rc, out, err = run(capsys, "annotate", g1_file, "--budget", "x,y")
+    assert (rc, out) == (2, "")
+    assert "bad budget 'x,y'" in err
+    rc, out, _ = run(capsys, "annotate", g1_file, "--budget", "20,16")
+    assert rc == 0 and out.startswith("id ")
 
 
 def test_annotate_oracle_check_reports_mismatches(capsys, g1_file, monkeypatch):

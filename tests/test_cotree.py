@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -30,7 +31,6 @@ from cosec.cotree import (
     parse_cotree,
     shape_key,
     subtree,
-    subtree_leaf_labels,
     to_dot,
     to_json,
     to_text,
@@ -332,7 +332,6 @@ def test_array_constructors_match_their_definitions(t1, t2):
         sub = subtree(t1, v)
         sub.validate()
         assert canonical_key(sub) == canonical_key(t1, v)
-        assert tuple(sub.labels[w] for w in sub.leaves()) == subtree_leaf_labels(t1, v)
     assert to_text(join(t1, t2)) == f"(J {to_text(t1)} {to_text(t2)})"
     assert to_text(union(t1, t2)) == f"(U {to_text(t1)} {to_text(t2)})"
 
@@ -343,8 +342,9 @@ def test_subtree_graphs_are_slices_of_the_whole_graph(t):
     rows = _subtree_rows(t, materialize(t))
     assert len(rows) == len(t)
     for v in range(len(t)):
-        graph = Graph(len(rows[v]), subtree_leaf_labels(t, v), rows[v])
-        assert graph == materialize(subtree(t, v))  # n, labels and adj
+        sub = subtree(t, v)
+        graph = Graph(len(rows[v]), tuple(sub.labels[w] for w in sub.leaves()), rows[v])
+        assert graph == materialize(sub)  # n, labels and adj
 
 
 def test_deep_unnormalized_caterpillar_end_to_end():
@@ -367,7 +367,6 @@ def test_deep_unnormalized_caterpillar_end_to_end():
     sub = subtree(tn, mid)
     assert len(sub) == len(tn) - mid  # a caterpillar's spine node owns the rest
     assert to_text(sub) in text
-    assert subtree_leaf_labels(tn, mid) == tuple(sub.labels[w] for w in sub.leaves())
     assert canonical_key(sub) == canonical_key(tn, mid)
     assert shape_key(t) != shape_key(tn)
 
@@ -389,9 +388,30 @@ def test_keys_of_a_join_of_two_deep_caterpillars():
     assert first != second
 
 
-def test_subtree_leaf_labels():
-    t = parse_cotree(G1_TEXT)
-    assert subtree_leaf_labels(t, t.children[t.root][0]) == ("c", "d", "e")
+def test_public_functions_on_a_deep_caterpillar():
+    leaves = 100_000
+    t = _caterpillar("x", leaves)  # inner node i has kind "UJ"[i % 2]
+    last = len(t) - 1
+
+    dot = to_dot(t).splitlines()
+    assert len(dot) == 2 + len(t) + (len(t) - 1) + 1
+    assert f"  n{last - 2} -- n{last};" in dot
+    nodes = to_json(t)["nodes"]
+    assert len(nodes) == len(t)
+    assert nodes[last - 2]["children"] == [last - 1, last]
+
+    flipped = complement(t)
+    assert flipped.kinds[last - 2] == JOIN and complement(flipped) == t
+    deep = f"x{leaves - 1}"
+    assert lca_kind(t, f"x{leaves - 2}", deep) == UNION
+    assert lca_kind(t, f"x{leaves - 3}", deep) == JOIN
+    assert lca_kind(t, "x0", deep) == UNION
+    assert to_text(union(t, leaf("y"))) == f"(U {to_text(t)} y)"
+
+    nested = deep
+    for i in reversed(range(leaves - 1)):
+        nested = ((UNION, JOIN)[i % 2], [f"x{i}", nested])
+    assert from_nested(nested) == t  # validate walks it too
 
 
 def test_node_paths():
@@ -510,6 +530,30 @@ def test_validate_rejects_broken_trees():
             labels=(None, "a", "b"),
             root=0,
         ).validate()
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        (Cotree((LEAF,), (), ("a",)), "inconsistent node arrays"),
+        (Cotree((LEAF,), ((),), ("a",), root=1), "root must be node 0"),
+        (Cotree((LEAF, LEAF), ((1,), ()), ("a", "b")), "leaf 0 has children"),
+        (
+            Cotree((UNION, LEAF, LEAF), ((1, 2), (), ()), ("u", "a", "b")),
+            "inner node 0 carries a label",
+        ),
+        (Cotree(("star", LEAF), ((1,), ()), (None, "a")), "unknown node kind 'star'"),
+        (
+            Cotree(
+                (UNION, LEAF, LEAF, LEAF), ((1, 2), (), (), ()), (None, "a", "b", "c")
+            ),
+            "unreachable nodes present",
+        ),
+    ],
+)
+def test_validate_names_the_broken_invariant(tree, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        tree.validate()
 
 
 def test_leaf_id_lookup():

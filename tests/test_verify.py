@@ -17,6 +17,7 @@ from cosec.errors import BudgetExceededError
 from cosec.generators import GkSpec, enumerate_cotrees, g_k, random_corpus
 from cosec.oracles import OracleBudget
 from cosec.verify import (
+    Mismatch,
     VerificationReport,
     check_tree,
     report_json,
@@ -307,3 +308,55 @@ def test_budget_refusals_are_not_cached():
     with pytest.raises(BudgetExceededError) as exc_info:
         check_tree(refused, report, budget)
     assert str(exc_info.value) == message
+
+
+def _faulty_columns(column, node, value):
+    """``annotate`` with one column entry overwritten."""
+    import cosec.verify
+
+    real = cosec.verify.annotate
+
+    def faulty(t):
+        at = real(t)
+        getattr(at, column)[node] = value
+        return at
+
+    return faulty
+
+
+@pytest.mark.parametrize(
+    "text, name, fault, predicate, node, path, expected, got",
+    [
+        (
+            "(J (U c d e) (U a1 b))", "gamma_s_is_one", lambda g: True,
+            "gamma_s_is_one_iff_complete", 0, "root", False, True,
+        ),
+        (
+            "(J (U c d e) (U a1 b))", "secure_domination_number",
+            lambda g, budget: 1, "gamma_s_lower_bound", 0, "root", ">= 2", "less",
+        ),
+        (
+            "(J (U a b c) (U d e f))", "annotate",
+            _faulty_columns("p_original", 0, True),
+            "p_original_implies_corrected", 0, "root", True, False,
+        ),
+        (
+            "(J (U c d e) (U a1 b))", "annotate", _faulty_columns("is_clique", 1, True),
+            "is_clique", 1, "root.0", False, True,
+        ),
+    ],
+    ids=["gamma_s_is_one", "gamma_s", "p_original", "is_clique"],
+)
+def test_each_injected_fault_is_reported_by_its_own_predicate(
+    monkeypatch, text, name, fault, predicate, node, path, expected, got
+):
+    import cosec.verify
+
+    t = parse_cotree(text)
+    report = VerificationReport(corpus="one tree")
+    check_tree(t, report, OracleBudget())
+    assert report.mismatches == []
+    monkeypatch.setattr(cosec.verify, name, fault)
+    report = VerificationReport(corpus="one tree")
+    check_tree(t, report, OracleBudget())
+    assert report.mismatches == [Mismatch(predicate, text, node, path, expected, got)]
