@@ -11,6 +11,8 @@ judged against.  :mod:`cosec.generators` produces the counterexample family
 :mod:`cosec.verify` runs the cross-checks at corpus scale.
 """
 
+from importlib import import_module as _import_module
+
 from .annotate import (
     AnnotatedCotree,
     NodeAnnotations,
@@ -46,28 +48,50 @@ from .errors import (
     NotNormalizedError,
     UnknownLeafError,
 )
-from .generators import (
-    GkSpec,
-    RandomSpec,
-    enumerate_cotrees,
-    g_k,
-    random_corpus,
-    random_cotree,
-)
-from .oracles import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    domination_number,
-    is_clique,
-    is_complete,
-    is_dominating,
-    is_secure_dominating,
-    label_r_definitional,
-    label_r_structural,
-    property_p_definitional,
-    secure_domination_number,
-)
-from .verify import VerificationReport, verify_corpora
+
+# The corpus, oracle and verify names load with their module on first use,
+# so a command that needs none of them never compiles those modules.
+# ``annotate`` stays eager: importing the submodule ``cosec.annotate`` sets
+# the package attribute to the module, and only the import above binds the
+# function back over it.
+_DEFERRED = {
+    name: home
+    for home, names in (
+        ("generators", "GkSpec RandomSpec enumerate_cotrees g_k random_corpus random_cotree"),
+        (
+            "oracles",
+            "DEFAULT_BUDGET OracleBudget domination_number is_clique is_complete"
+            " is_dominating is_secure_dominating label_r_definitional"
+            " label_r_structural property_p_definitional secure_domination_number",
+        ),
+        ("verify", "VerificationReport verify_corpora"),
+    )
+    for name in names.split()
+}
+
+
+def _deferred_getattr(namespace: dict, homes: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) over ``namespace``: a name in
+    ``homes`` is read from ``cosec.<home>`` on first use and cached in
+    ``namespace``, so later reads are plain attribute lookups."""
+    module = namespace["__name__"]
+
+    def __getattr__(name: str):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(_import_module(f"{__name__}.{home}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _deferred_getattr(globals(), _DEFERRED)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_DEFERRED})
+
 
 __version__ = "0.1.0"
 

@@ -25,26 +25,32 @@ in batches of nodes straight from the cotree and annotation arrays.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import statistics
 import sys
-import time
-from contextlib import redirect_stdout
 from itertools import islice
 
+from . import _deferred_getattr
 from .annotate import _FACTS, annotate
 from .cotree import _node_paths, normalize, parse_cotree, to_dot, to_text
 from .errors import BudgetExceededError
-from .generators import GkSpec, RandomSpec, g_k, random_cotree
-from .oracles import DEFAULT_BUDGET, OracleBudget
-from .verify import (
-    VerificationReport,
-    check_tree,
-    report_json,
-    report_text,
-    verify_corpora,
+
+# The generator, oracle and verify names load on first use (PEP 562), so
+# ``--help``, ``parse`` and ``annotate`` never import those modules.  The
+# handlers read them as attributes of this module, ``_cli.<name>``: a
+# wrapper set on the module then takes effect as it would for an import.
+__getattr__ = _deferred_getattr(
+    globals(),
+    {
+        name: home
+        for home, names in (
+            ("generators", "GkSpec RandomSpec g_k random_cotree"),
+            ("oracles", "DEFAULT_BUDGET OracleBudget"),
+            ("verify", "VerificationReport check_tree report_json report_text verify_corpora"),
+        )
+        for name in names.split()
+    },
 )
+_cli = sys.modules[__name__]
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -65,14 +71,14 @@ def _read_source(path: str) -> str:
 def _resolve_budget(flag_value: str | None) -> OracleBudget:
     text = flag_value if flag_value is not None else os.environ.get("COSEC_BUDGET")
     if text is None:
-        return DEFAULT_BUDGET
+        return _cli.DEFAULT_BUDGET
     parts = text.split(",")
     try:
         if len(parts) == 1:
             cap = int(parts[0])
-            return OracleBudget(cap, cap)
+            return _cli.OracleBudget(cap, cap)
         if len(parts) == 2:
-            return OracleBudget(int(parts[0]), int(parts[1]))
+            return _cli.OracleBudget(int(parts[0]), int(parts[1]))
     except ValueError as exc:
         raise ValueError(f"bad budget {text!r}: {exc}") from None
     raise ValueError(f"bad budget {text!r}: expected CAP or DOM,SECURE")
@@ -191,6 +197,8 @@ def _write_table(t, at) -> None:
 def cmd_annotate(args) -> int:
     if args.oracle_check or args.budget is not None:  # a bad one fails before output
         budget = _resolve_budget(args.budget)
+    if args.budget is not None and not args.oracle_check:
+        print("warning: --budget applies only with --oracle-check", file=sys.stderr)
     t = normalize(parse_cotree(_read_source(args.file)))
     at = annotate(t)
     if args.json:
@@ -198,8 +206,8 @@ def cmd_annotate(args) -> int:
     else:
         _write_table(t, at)
     if args.oracle_check:
-        report = VerificationReport(corpus=args.file)
-        check_tree(t, report, budget)
+        report = _cli.VerificationReport(corpus=args.file)
+        _cli.check_tree(t, report, budget)
         for m in report.mismatches:
             print(
                 f"MISMATCH {m.predicate} at {m.path}: oracle {m.expected}, pass {m.got}",
@@ -212,7 +220,7 @@ def cmd_annotate(args) -> int:
 
 
 def cmd_gk(args) -> int:
-    text = to_text(g_k(GkSpec(args.k))) + "\n"
+    text = to_text(_cli.g_k(_cli.GkSpec(args.k))) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -222,9 +230,11 @@ def cmd_gk(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    import json
+
     if args.max_n is None and not args.random:
         raise ValueError("nothing to verify: pass --max-n and/or --random")
-    report = verify_corpora(
+    report = _cli.verify_corpora(
         max_n=args.max_n,
         random_count=args.random,
         random_leaves=args.leaves,
@@ -232,13 +242,16 @@ def cmd_verify(args) -> int:
         budget=_resolve_budget(args.budget),
     )
     if args.json:
-        print(json.dumps(report_json(report), indent=2))
+        print(json.dumps(_cli.report_json(report), indent=2))
     else:
-        sys.stdout.write(report_text(report))
+        sys.stdout.write(_cli.report_text(report))
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def _median_s(fn, repeats: int) -> float:
+    import statistics
+    import time
+
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -248,6 +261,8 @@ def _median_s(fn, repeats: int) -> float:
 
 
 def cmd_bench(args) -> int:
+    from contextlib import redirect_stdout
+
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError("sizes must be positive integers")
@@ -258,7 +273,7 @@ def cmd_bench(args) -> int:
         f"{'table_ns':>10}  {'json_ns':>10}  {'parse_ns':>10}"
     )
     for size in sizes:
-        t = random_cotree(RandomSpec(leaf_count=size, seed=args.seed))
+        t = _cli.random_cotree(_cli.RandomSpec(leaf_count=size, seed=args.seed))
         median_s = _median_s(lambda: annotate(t), args.repeats)
         at = annotate(t)
         with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import count
 from typing import Iterator
 
 from .cotree import _OPPOSITE, JOIN, LEAF, UNION, Cotree, leaf, normalize, parse_cotree
@@ -115,7 +114,7 @@ def random_corpus(count: int, max_leaves: int, seed: int) -> Iterator[Cotree]:
 # exhaustive enumeration of small shapes
 
 _ENUMERATION_GUARD = 10
-_SHAPE_TEXT = {"U": "(U", "J": "(J", ")": ")"}
+_SHAPE_KIND = {"L": LEAF, "U": UNION, "J": JOIN}
 
 
 def enumerate_cotrees(max_leaves: int) -> Iterator[Cotree]:
@@ -176,8 +175,28 @@ def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
 
 
 def _shape_to_cotree(shape: str) -> Cotree:
-    """The cotree text of a shape, leaves labeled v0, v1, … in pre-order, parsed."""
-    labels = count()
-    return parse_cotree(
-        " ".join(_SHAPE_TEXT.get(c) or f"v{next(labels)}" for c in shape)
-    )
+    """The cotree of a shape, leaves labeled v0, v1, … in pre-order, built in
+    one pass over the shape: each character but ")" is the next node."""
+    kinds: list[str] = []
+    children: list = []
+    labels: list[str | None] = []
+    open_: list[int] = []  # ids of the inner nodes not yet closed
+    leaves = 0
+    for c in shape:
+        if c == ")":
+            v = open_.pop()
+            children[v] = tuple(children[v])
+            continue
+        v = len(kinds)
+        if open_:
+            children[open_[-1]].append(v)
+        kinds.append(_SHAPE_KIND[c])
+        if c == "L":
+            children.append(())
+            labels.append(f"v{leaves}")
+            leaves += 1
+        else:
+            children.append([])
+            labels.append(None)
+            open_.append(v)
+    return Cotree(tuple(kinds), tuple(children), tuple(labels))

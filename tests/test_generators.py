@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, count
 
 import pytest
 
@@ -24,6 +24,7 @@ from cosec.cotree import (
 from cosec.generators import (
     GkSpec,
     RandomSpec,
+    _shapes,
     enumerate_cotrees,
     g_k,
     random_corpus,
@@ -304,3 +305,24 @@ def _nested_enumerate_cotrees(max_leaves: int) -> list[Cotree]:
 @pytest.mark.parametrize("max_leaves", range(1, 11))
 def test_enumeration_equals_the_nested_reference(max_leaves):
     assert list(enumerate_cotrees(max_leaves)) == _nested_enumerate_cotrees(max_leaves)
+
+
+def _shape_text(shape: str) -> str:
+    """The cotree text the corpus was once parsed from: "(U"/"(J" opens a
+    node, ")" closes it, and the leaves are v0, v1, … in pre-order."""
+    labels = count()
+    ops = {"U": "(U", "J": "(J", ")": ")"}
+    return " ".join(ops.get(c) or f"v{next(labels)}" for c in shape)
+
+
+@pytest.mark.parametrize("max_leaves", range(1, 9))
+def test_enumeration_equals_the_parsed_shape_text(max_leaves):
+    memo: dict = {}
+    shapes = ["L"] + [
+        s for n in range(2, max_leaves + 1) for op in ("U", "J") for s in _shapes(n, op, memo)
+    ]
+    trees = list(enumerate_cotrees(max_leaves))
+    assert len(trees) == len(shapes)
+    for t, shape in zip(trees, shapes):
+        ref = parse_cotree(_shape_text(shape))
+        assert (t.kinds, t.children, t.labels) == (ref.kinds, ref.children, ref.labels)
