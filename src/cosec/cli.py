@@ -20,11 +20,19 @@ in batches of nodes straight from the cotree and annotation arrays.
 ``annotate --oracle-check`` runs ``verify.check_tree``, the cross-check that
 ``verify`` runs on every corpus tree, and prints each mismatch on stderr as
 ``MISMATCH {predicate} at {path}: oracle {expected}, pass {got}``.
+
+``main`` runs every command, ``bench`` included, with the cyclic garbage
+collector paused, and restores its previous state on return or raise.  The
+trees, annotation columns and rendered rows refer only downward, so
+reference counting frees all of them; a collection would only walk the
+live heap, the input tree included.  ``--help`` and usage errors exit
+inside argparse, before the pause.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from itertools import islice
@@ -122,21 +130,29 @@ def _write_batched(head: str, parts, sep: str, tail: str, size: int = _BATCH) ->
     write(tail)
 
 
-def _json_ids(ids) -> str:
-    """A node's id list as ``json.dumps(indent=2)`` lays out a node field."""
-    return "[\n        " + ",\n        ".join(map(str, ids)) + "\n      ]" if ids else "[]"
+class _JsonIds(dict):
+    """``ids[len(c)] % c`` lays out a node's id tuple ``c`` as ``json.dumps(indent=2)``
+    lays out a node field.  A template is made at an arity's first use; each
+    writer call has its own, so no template outlives the output it laid out."""
+
+    def __missing__(self, arity: int) -> str:
+        fmt = self[arity] = (
+            "[\n        " + ",\n        ".join(["%d"] * arity) + "\n      ]" if arity else "[]"
+        )
+        return fmt
 
 
 def _write_tree_json(t) -> None:
     """``print(json.dumps(to_json(t), indent=2))``.  Labels come from
     ``parse_cotree``, whose ``[A-Za-z0-9_]`` alphabet needs no JSON escaping."""
-    kinds, labels, children = t.kinds, t.labels, t.children
+    kinds, labels, children, ids = t.kinds, t.labels, t.children, _JsonIds()
 
     def node(v: int) -> str:
         label = "null" if labels[v] is None else f'"{labels[v]}"'
+        c = children[v]
         return (
             f'    {{\n      "id": {v},\n      "kind": "{kinds[v]}",\n      "label": {label},'
-            f'\n      "children": {_json_ids(children[v])}\n    }}'
+            f'\n      "children": {ids[len(c)] % c}\n    }}'
         )
 
     head = f'{{\n  "root": {t.root},\n  "nodes": [\n'
@@ -145,12 +161,13 @@ def _write_tree_json(t) -> None:
 
 def _write_annotations_json(t, at) -> None:
     """``print(json.dumps({"nodes": at.to_json_nodes()}, indent=2))``."""
-    kinds, children, lit = t.kinds, t.children, _JSON_LITERAL
+    kinds, children, lit, ids = t.kinds, t.children, _JSON_LITERAL, _JsonIds()
 
     def node(v: int) -> str:
+        c = children[v]
         return (
             f'    {{\n      "id": {v},\n      "kind": "{kinds[v]}",\n'
-            f'      "children": {_json_ids(children[v])},\n      "size": {at.size[v]},\n'
+            f'      "children": {ids[len(c)] % c},\n      "size": {at.size[v]},\n'
             f'      "is_clique": {lit[at.is_clique[v]]},\n      "gamma": {at.gamma[v]},\n'
             f'      "label_r": {lit[at.label_r[v]]},\n'
             f'      "union_of_two_cliques": {lit[at.union_of_two_cliques[v]]},\n'
@@ -342,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()  # the pause: see the module docstring
+    gc.disable()
     try:
         return args.func(args)
     except BudgetExceededError as exc:
@@ -353,6 +372,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

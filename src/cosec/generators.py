@@ -151,25 +151,28 @@ def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
     if key in memo:
         return memo[key]
     other = "J" if op == "U" else "U"
-    candidates: list[tuple[int, str]] = [(1, "L")]
+    weights, shapes = [1], ["L"]  # the child candidates, in weight order
     for m in range(2, n):
-        candidates.extend((m, s) for s in _shapes(m, other, memo))
+        found = _shapes(m, other, memo)
+        weights.extend([m] * len(found))
+        shapes.extend(found)
+    # Child multisets are the non-decreasing candidate index lists of weight
+    # n, taken in lexicographic order: fill greedily from index j, then drop
+    # the last pick and go on from the index after it.
     out: list[str] = []
-    picked: list[str] = []
-
-    def extend(lo: int, remaining: int) -> None:
-        if remaining == 0:
-            if len(picked) >= 2:
-                out.append(op + "".join(sorted(picked)) + ")")
-            return
-        for j in range(lo, len(candidates)):
-            weight, shape = candidates[j]
-            if weight <= remaining:
-                picked.append(shape)
-                extend(j, remaining - weight)
-                picked.pop()
-
-    extend(0, n)
+    picked: list[int] = []
+    remaining, j = n, 0
+    while True:
+        while remaining and j < len(weights) and weights[j] <= remaining:
+            picked.append(j)
+            remaining -= weights[j]
+        if not remaining and len(picked) >= 2:
+            out.append(op + "".join(sorted(shapes[i] for i in picked)) + ")")
+        if not picked:
+            break
+        j = picked.pop()
+        remaining += weights[j]
+        j += 1
     memo[key] = tuple(out)
     return memo[key]
 

@@ -48,6 +48,8 @@ from .oracles import (
 )
 
 _DEEP_CHECK_MAX_LEAVES = 8
+# the keys of ``VerificationReport._verdicts``: the node checks by kind, then the rest
+_CHECKS = (LEAF, UNION, JOIN, "gamma_s_is_one", "gamma_s", "label_r")
 
 
 @dataclass(frozen=True)
@@ -118,23 +120,29 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
         raise BudgetExceededError("domination_number", n, cap)
     at = annotate(t)
     rows = _subtree_rows(t, materialize(t))
+    memos = {check: report._verdicts.setdefault(check, {}) for check in _CHECKS}
 
     def verdict(check, oracle, graph_rows, *extra):
         """``oracle`` on unlabelled graphs with these rows, once per check and rows."""
-        memo = report._verdicts.setdefault(check, {})
+        memo = memos[check]
         key = graph_rows[0] if len(graph_rows) == 1 else graph_rows
-        if key not in memo:  # no oracle reads labels
-            memo[key] = oracle(*(Graph(len(r), (), r) for r in graph_rows), *extra)
-        return memo[key]
-
-    def node_verdicts(g, kind):
-        return domination_number(g, budget), is_complete(g), (
-            property_p_definitional_graph(g) if kind == JOIN
-            else kind == UNION and label_r_structural_graph(g)
-        )
+        value = memo.get(key)  # no verdict is None
+        if value is None:  # no oracle reads labels
+            value = memo[key] = oracle(*(Graph(len(r), (), r) for r in graph_rows), *extra)
+        return value
 
     # per node: γ, the clique flag, and 𝒫 at a join or structural ℛ at a union
-    facts = [verdict(kind, node_verdicts, (r,), kind) for kind, r in zip(t.kinds, rows)]
+    facts = []
+    for kind, r in zip(t.kinds, rows):
+        memo = memos[kind]
+        fact = memo.get(r)
+        if fact is None:
+            g = Graph(len(r), (), r)
+            fact = memo[r] = domination_number(g, budget), is_complete(g), (
+                property_p_definitional_graph(g) if kind == JOIN
+                else kind == UNION and label_r_structural_graph(g)
+            )
+        facts.append(fact)
     report.instances += 1
     report.graphs_checked += 1
     report._nodes += len(t)
