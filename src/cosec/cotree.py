@@ -16,14 +16,10 @@ Representation notes:
   failing parse scans again to find its byte offset.  ``normalize``,
   ``subtree``, ``union`` and ``join`` copy id ranges with shifted ids.  Only
   ``from_nested`` reads nested input.
-- No recursion, in Python or in C.  ``canonical_key`` / ``shape_key`` key a
-  subtree by height (Aho, Hopcroft and Ullman's tree isomorphism test): per
-  height, the sorted distinct (kind, label, sorted child codes) signatures,
-  a code being a (height, rank) pair, so keys nest to a fixed depth.
+- No recursion, in Python or in C.
 - ``Cotree`` and ``Graph`` values are immutable after construction and safe to
   share between threads.  All operations here are pure functions.
-- Child order is preserved but carries no meaning; use ``canonical_key`` /
-  ``shape_key`` for order-insensitive comparison.
+- Child order is preserved but carries no meaning.
 
 Text format (``.cotree`` files)::
 
@@ -40,7 +36,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate, groupby, islice
+from itertools import islice
 from operator import length_hint
 from typing import Iterator
 
@@ -92,7 +88,7 @@ class Cotree:
         return tuple(v for v, k in enumerate(self.kinds) if k == LEAF)
 
     def n_leaves(self) -> int:
-        return sum(1 for k in self.kinds if k == LEAF)
+        return self.kinds.count(LEAF)
 
     def leaf_id(self, label: str) -> int:
         for v, lbl in enumerate(self.labels):
@@ -271,24 +267,6 @@ def _subtree_end(t: Cotree, v: int) -> int:
     while t.children[v]:
         v = t.children[v][-1]
     return v + 1
-
-
-def _subtree_rows(t: Cotree, g: Graph) -> list[tuple[int, ...]]:
-    """Per node v, ``materialize(subtree(t, v)).adj``, read off ``g = materialize(t)``.
-
-    v's leaves are g's vertices from ``first[v]`` up to the end of its last
-    child's, whose rows the reverse pass has already built, one per leaf.
-    Their induced rows are one shift-and-mask each.
-    """
-    first = list(accumulate((k == LEAF for k in t.kinds), initial=0))  # leaves below id v
-    rows = [(0,)] * len(t)  # a leaf's graph: one vertex, no edge
-    for v in range(len(t) - 1, -1, -1):
-        if t.children[v]:
-            last = t.children[v][-1]
-            lo, hi = first[v], first[last] + len(rows[last])
-            keep = (1 << (hi - lo)) - 1
-            rows[v] = tuple(row >> lo & keep for row in g.adj[lo:hi])
-    return rows
 
 
 def subtree(t: Cotree, v: int) -> Cotree:
@@ -564,50 +542,6 @@ def lca_kind(t: Cotree, leaf1: str, leaf2: str) -> str:
     while v not in ancestors:
         v = par[v]
     return t.kinds[v]
-
-
-# ---------------------------------------------------------------------------
-# structural comparison helpers
-
-def canonical_key(t: Cotree, root: int | None = None):
-    """Order-insensitive structural key including leaf labels.
-
-    Equal keys mean equal trees up to reordering children (the equality used
-    throughout the tests).
-    """
-    return _key(t, t.root if root is None else root, with_labels=True)
-
-
-def shape_key(t: Cotree, root: int | None = None):
-    """Order-insensitive structural key ignoring leaf labels."""
-    return _key(t, t.root if root is None else root, with_labels=False)
-
-
-def _key(t: Cotree, root: int, with_labels: bool) -> tuple:
-    """Per height in root's subtree, the sorted distinct node signatures
-    ``(kind, label or None, sorted child codes)``, a node's code being
-    ``(height, rank of its signature)``.  Equal keys mean isomorphic
-    subtrees: the root is the one node of the top height, and each code
-    names a signature in the key."""
-    height: dict[int, int] = {}
-    for v in reversed(range(root, _subtree_end(t, root))):
-        height[v] = max(map(height.__getitem__, t.children[v]), default=-1) + 1
-    code: dict[int, tuple[int, int]] = {}
-    key = []
-    for h, nodes in groupby(sorted(height, key=height.get), key=height.get):
-        sigs = {
-            v: (
-                t.kinds[v],
-                t.labels[v] if with_labels else None,
-                tuple(sorted(map(code.__getitem__, t.children[v]))),
-            )
-            for v in nodes
-        }
-        level = sorted(set(sigs.values()))
-        rank = {sig: (h, i) for i, sig in enumerate(level)}
-        code.update((v, rank[sig]) for v, sig in sigs.items())
-        key.append(tuple(level))
-    return tuple(key)
 
 
 def node_paths(t: Cotree) -> tuple[str, ...]:

@@ -26,9 +26,9 @@ the written order, and only a set that dominates is checked for security.
 The three Cotree-level checks (``property_p_definitional``,
 ``label_r_definitional``, ``label_r_structural``) are thin wrappers that
 build the graphs of the nodes they ask about and call a graph-level function
-of the same name plus ``_graph`` / ``_graphs``.  Callers that hold a whole
-tree's graph, such as ``verify.check_tree``, call those directly on slices of
-it and build no graph per node.
+of the same name plus ``_graph`` / ``_graphs``.  Callers that already hold a
+node's adjacency rows, such as ``verify.check_tree``, call those directly
+and build no cotree per node.
 """
 
 from __future__ import annotations

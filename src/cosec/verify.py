@@ -15,13 +15,14 @@ whole graph of trees with at most 8 leaves.  Every other check runs on every
 node of every instance: γ, the clique flag, 𝒫 at joins and label ℛ at
 unions, both definitionally and structurally.
 
-Each tree is materialized once.  Pre-order ids make the leaves of a subtree
-a contiguous run of vertices, so each node's adjacency rows are a slice of
-the tree's graph (``cotree._subtree_rows``).  The report keeps its run's
-oracle verdicts keyed by rows, so each distinct graph is built and evaluated
-once.  ``check_tree`` is the one cross-check path, also run by ``cosec
-annotate --oracle-check``; a tree's text and node paths are built only when
-it has a mismatch or a finding to report.
+No tree's graph is built.  Each node's graph gets an id, interned by its
+kind and its children's ids (``_graph_ids``); a new id's adjacency rows are
+built from theirs.  In a normalized cotree each child holds a contiguous run
+of vertices, so key and rows determine each other: each distinct graph is
+built and evaluated once per run.  Only a tree whose annotation and verdicts
+differ in some column is walked node by node, and only then are its text
+and node paths built.  ``check_tree`` is the one cross-check path, also run
+by ``cosec annotate --oracle-check``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 from .annotate import annotate
-from .cotree import JOIN, LEAF, UNION, Cotree, Graph, materialize, node_paths, to_text
-from .cotree import _subtree_rows
+from .cotree import JOIN, LEAF, UNION, Cotree, Graph, node_paths, to_text
 from .errors import BudgetExceededError
 from .generators import enumerate_cotrees, random_corpus
 from .oracles import (
@@ -48,8 +48,6 @@ from .oracles import (
 )
 
 _DEEP_CHECK_MAX_LEAVES = 8
-# the keys of ``VerificationReport._verdicts``: the node checks by kind, then the rest
-_CHECKS = (LEAF, UNION, JOIN, "gamma_s_is_one", "gamma_s", "label_r")
 
 
 @dataclass(frozen=True)
@@ -85,6 +83,20 @@ class OriginalLemmaFinding:
         )
 
 
+class _Verdicts:
+    """A run's node graphs, one id per distinct graph, and the verdicts on
+    them by id.  A verdict is stored once it is in, so no refusal is."""
+
+    def __init__(self):
+        self.ids = {}  # (kind, *child graph ids) -> graph id
+        self.rows = []  # adjacency rows
+        self.facts = []  # (γ, clique flag, 𝒫, structural ℛ, definitional ℛ)
+        self.shared = {}  # fact tuple -> itself: equal ones are stored once
+        self.pending = set()  # two-child union ids with no definitional ℛ yet
+        self.label_r = 0  # definitional ℛ evaluations
+        self.gamma_s_is_one, self.gamma_s = {}, {}  # root id -> verdict
+
+
 @dataclass
 class VerificationReport:
     corpus: str
@@ -97,7 +109,9 @@ class VerificationReport:
         default_factory=list
     )
     elapsed_ms: float = 0.0
-    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _verdicts: _Verdicts = field(
+        default_factory=_Verdicts, init=False, repr=False, compare=False
+    )
     _nodes: int = field(default=0, init=False, repr=False, compare=False)
     _deep_trees: int = field(default=0, init=False, repr=False, compare=False)
 
@@ -106,46 +120,112 @@ class VerificationReport:
         return not self.mismatches
 
 
+def _graph_ids(t: Cotree, ids: dict, rows: list, first_sight) -> list[int]:
+    """Per node of t, its graph id: an index of ``rows``, the graphs'
+    adjacency rows, interned in ``ids`` by ``(kind, *child graph ids)``.  A
+    leaf is id 0.  ``first_sight(key, rows)`` runs before a new id is stored.
+    """
+    if not rows:  # the one-vertex graph
+        first_sight((LEAF,), (0,))
+        rows.append((0,))
+    kinds, children = t.kinds, t.children
+    node_ids = [0] * len(t)
+    for v in range(len(t) - 1, -1, -1):  # children before parents
+        if children[v]:
+            key = kinds[v], *map(node_ids.__getitem__, children[v])
+            i = ids.get(key)
+            if i is None:
+                graph_rows = _combined_rows(kinds[v], [rows[c] for c in key[1:]])
+                first_sight(key, graph_rows)
+                i = ids[key] = len(rows)
+                rows.append(graph_rows)
+            node_ids[v] = i
+    return node_ids
+
+
+def _combined_rows(kind: str, parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The rows of the union or join of graphs with rows ``parts``, each
+    part's vertices following the last's: a row shifts to its part's offset,
+    and in a join it also gains every other part's vertices."""
+    full, lo, out = (1 << sum(map(len, parts))) - 1, 0, []
+    for part in parts:
+        others = full ^ ((1 << lo + len(part)) - (1 << lo)) if kind == JOIN else 0
+        out += [row << lo | others for row in part]
+        lo += len(part)
+    return tuple(out)
+
+
 def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> None:
     """Run every oracle cross-check on one normalized cotree; append results.
 
-    Every oracle is called from one place here, on rows the report holds no
-    verdict for.  A tree above the domination cap is refused before any graph
-    is built; below it no γ call can refuse, so the γ_s check refuses first.
-    Verdicts are keyed by check and rows alone: one report, one budget.
+    Every oracle is called from one place here, on graphs the report holds
+    no verdict for.  A tree above the domination cap is refused before any
+    graph is built; below it no γ call can refuse, so the root's γ_s check
+    refuses first, then label ℛ in ascending node order.  A refused tree
+    adds nothing to the report.  Verdicts are keyed by graph id alone: one
+    report, one budget.
     """
     n = t.n_leaves()
     cap = budget.max_vertices_domination
     if n > cap:  # the largest graph: refuse before building any
         raise BudgetExceededError("domination_number", n, cap)
     at = annotate(t)
-    rows = _subtree_rows(t, materialize(t))
-    memos = {check: report._verdicts.setdefault(check, {}) for check in _CHECKS}
+    known = report._verdicts
+    rows, facts, pending = known.rows, known.facts, known.pending
+    share = known.shared.setdefault  # one tuple per distinct fact tuple
 
-    def verdict(check, oracle, graph_rows, *extra):
-        """``oracle`` on unlabelled graphs with these rows, once per check and rows."""
-        memo = memos[check]
-        key = graph_rows[0] if len(graph_rows) == 1 else graph_rows
-        value = memo.get(key)  # no verdict is None
-        if value is None:  # no oracle reads labels
-            value = memo[key] = oracle(*(Graph(len(r), (), r) for r in graph_rows), *extra)
-        return value
+    def first_sight(key, graph_rows):
+        kind, g = key[0], Graph(len(graph_rows), (), graph_rows)
+        fact = (
+            domination_number(g, budget), is_complete(g),
+            property_p_definitional_graph(g) if kind == JOIN else None,
+            label_r_structural_graph(g) if kind == UNION else None,
+            False if kind == UNION else None,  # definitional ℛ needs two children
+        )
+        if kind == UNION and len(key) == 3:  # two children: ℛ after the root checks
+            pending.add(len(rows))
+        facts.append(share(fact, fact))
 
-    # per node: γ, the clique flag, and 𝒫 at a join or structural ℛ at a union
-    facts = []
-    for kind, r in zip(t.kinds, rows):
-        memo = memos[kind]
-        fact = memo.get(r)
-        if fact is None:
-            g = Graph(len(r), (), r)
-            fact = memo[r] = domination_number(g, budget), is_complete(g), (
-                property_p_definitional_graph(g) if kind == JOIN
-                else kind == UNION and label_r_structural_graph(g)
-            )
-        facts.append(fact)
+    def graph(i):  # no oracle reads labels
+        return Graph(len(rows[i]), (), rows[i])
+
+    ids = _graph_ids(t, known.ids, rows, first_sight)
+    root = ids[t.root]
+    gamma, complete = facts[root][:2]
+    at_root = []  # (predicate, expected, got) per mismatch at the root
+    # γ_s = 1 ⟺ complete, via the definitional singleton scan
+    if root not in known.gamma_s_is_one:
+        known.gamma_s_is_one[root] = gamma_s_is_one(graph(root))
+    if known.gamma_s_is_one[root] != complete:
+        at_root.append(("gamma_s_is_one_iff_complete", complete, not complete))
+    deep = n <= _DEEP_CHECK_MAX_LEAVES
+    if deep:
+        if root not in known.gamma_s:
+            known.gamma_s[root] = secure_domination_number(graph(root), budget)
+        if known.gamma_s[root] < gamma:
+            at_root.append(("gamma_s_lower_bound", f">= {gamma}", "less"))
+    if pending and not pending.isdisjoint(ids):
+        for v, i in enumerate(ids):
+            if i in pending:
+                a, b = (graph(ids[c]) for c in t.children[v])
+                fact = *facts[i][:4], label_r_definitional_graphs(a, b, budget)
+                facts[i] = share(fact, fact)
+                pending.discard(i)
+                known.label_r += 1
+
     report.instances += 1
     report.graphs_checked += 1
     report._nodes += len(t)
+    report._deep_trees += deep
+    report.joins_checked += t.kinds.count(JOIN)
+    report.unions_checked += t.kinds.count(UNION)
+    if (  # whole columns: every node against its graph's facts
+        not at_root
+        and at.p_original == at.p_corrected
+        and list(map(facts.__getitem__, ids))
+        == list(zip(at.gamma, at.is_clique, at.p_corrected, at.label_r, at.label_r))
+    ):
+        return  # no mismatch and no finding
     shown = None  # (text, paths): built at the first mismatch or finding
 
     def where(node):
@@ -158,38 +238,25 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     def mismatch(predicate, node, expected, got):
         report.mismatches.append(Mismatch(predicate, *where(node), expected, got))
 
-    root, r, (gamma, complete, _) = t.root, (rows[t.root],), facts[t.root]
-    # γ_s = 1 ⟺ complete, via the definitional singleton scan
-    if verdict("gamma_s_is_one", gamma_s_is_one, r) != complete:
-        mismatch("gamma_s_is_one_iff_complete", root, complete, not complete)
-
-    if n <= _DEEP_CHECK_MAX_LEAVES:
-        if verdict("gamma_s", secure_domination_number, r, budget) < gamma:
-            mismatch("gamma_s_lower_bound", root, f">= {gamma}", "less")
-        report._deep_trees += 1
-
-    for v, (gamma, complete, by_kind) in enumerate(facts):
+    for predicate, expected, got in at_root:
+        mismatch(predicate, t.root, expected, got)
+    for v, i in enumerate(ids):
+        gamma, complete, p_defn, r_struct, defn = facts[i]
         if gamma != at.gamma[v]:
             mismatch("gamma", v, gamma, at.gamma[v])
         kind = t.kinds[v]
         if kind == JOIN:
-            report.joins_checked += 1
-            if at.p_corrected[v] != by_kind:  # 𝒫, definitionally
-                mismatch("p_corrected", v, by_kind, at.p_corrected[v])
+            if at.p_corrected[v] != p_defn:  # 𝒫, definitionally
+                mismatch("p_corrected", v, p_defn, at.p_corrected[v])
             if at.p_original[v] and not at.p_corrected[v]:
                 mismatch("p_original_implies_corrected", v, True, False)
-            if at.p_original[v] != by_kind:
+            if at.p_original[v] != p_defn:
                 report.original_lemma_disagreements.append(
-                    OriginalLemmaFinding(*where(v), at.p_original[v], by_kind)
+                    OriginalLemmaFinding(*where(v), at.p_original[v], p_defn)
                 )
         elif kind == UNION:
-            report.unions_checked += 1
-            pair = tuple(rows[c] for c in t.children[v])
-            defn = len(pair) == 2 and verdict(
-                "label_r", label_r_definitional_graphs, pair, budget
-            )
-            if defn != by_kind:  # ℛ, structurally
-                mismatch("label_r_structural", v, defn, by_kind)
+            if defn != r_struct:  # ℛ, structurally
+                mismatch("label_r_structural", v, defn, r_struct)
             if defn != at.label_r[v]:
                 mismatch("label_r", v, defn, at.label_r[v])
         if at.is_clique[v] != complete:
@@ -228,9 +295,9 @@ def verify_corpora(
 
 
 def report_text(report: VerificationReport) -> str:
-    def evaluated(*checks) -> int:
-        return sum(len(report._verdicts.get(c, ())) for c in checks)
-
+    known = report._verdicts
+    joins = sum(fact[2] is not None for fact in known.facts)
+    unions = sum(fact[3] is not None for fact in known.facts)
     lines = [
         f"corpus: {report.corpus}",
         f"instances checked: {report.instances}",
@@ -239,12 +306,12 @@ def report_text(report: VerificationReport) -> str:
         *(
             f"{predicate}: {compared} compared, {n} oracle evaluations"
             for predicate, compared, n in (
-                ("gamma, is_clique", report._nodes, evaluated(LEAF, UNION, JOIN)),
-                ("p_corrected", report.joins_checked, evaluated(JOIN)),
-                ("label_r_structural", report.unions_checked, evaluated(UNION)),
-                ("label_r", report.unions_checked, evaluated("label_r")),
-                ("gamma_s_is_one", report.instances, evaluated("gamma_s_is_one")),
-                ("gamma_s", report._deep_trees, evaluated("gamma_s")),
+                ("gamma, is_clique", report._nodes, len(known.rows)),
+                ("p_corrected", report.joins_checked, joins),
+                ("label_r_structural", report.unions_checked, unions),
+                ("label_r", report.unions_checked, known.label_r),
+                ("gamma_s_is_one", report.instances, len(known.gamma_s_is_one)),
+                ("gamma_s", report._deep_trees, len(known.gamma_s)),
             )
         ),
         f"mismatches: {len(report.mismatches)}",
@@ -254,9 +321,7 @@ def report_text(report: VerificationReport) -> str:
         "original-lemma disagreements (expected findings): "
         f"{len(report.original_lemma_disagreements)}"
     )
-    lines.extend(
-        f"  finding: {f}" for f in report.original_lemma_disagreements
-    )
+    lines.extend(f"  finding: {f}" for f in report.original_lemma_disagreements)
     lines.append(f"elapsed: {report.elapsed_ms:.1f} ms")
     lines.append("result: " + ("OK" if report.ok else "MISMATCH"))
     return "\n".join(lines) + "\n"

@@ -1,12 +1,13 @@
 """Shared test-side oracles, which must stay independent of the package
-logic, and the child-process environment for the CLI tests."""
+logic, the order-insensitive tree keys the tests compare by, and the
+child-process environment for the CLI tests."""
 
 import os
-from itertools import combinations
+from itertools import combinations, groupby
 from pathlib import Path
 
 import cosec
-from cosec.cotree import JOIN, UNION, Cotree, Graph, iter_set_bits
+from cosec.cotree import JOIN, UNION, Cotree, Graph, _subtree_end, iter_set_bits
 
 
 def cosec_subprocess_env() -> dict[str, str]:
@@ -18,6 +19,49 @@ def cosec_subprocess_env() -> dict[str, str]:
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = package_root + (os.pathsep + rest if rest else "")
     return env
+
+
+def canonical_key(t: Cotree, root: int | None = None):
+    """Order-insensitive structural key including leaf labels.
+
+    Equal keys mean equal trees up to reordering children (the equality used
+    throughout the tests).
+    """
+    return _key(t, t.root if root is None else root, with_labels=True)
+
+
+def shape_key(t: Cotree, root: int | None = None):
+    """Order-insensitive structural key ignoring leaf labels."""
+    return _key(t, t.root if root is None else root, with_labels=False)
+
+
+def _key(t: Cotree, root: int, with_labels: bool) -> tuple:
+    """Per height in root's subtree, the sorted distinct node signatures
+    ``(kind, label or None, sorted child codes)``, a node's code being
+    ``(height, rank of its signature)``.  Equal keys mean isomorphic
+    subtrees: the root is the one node of the top height, and each code
+    names a signature in the key.  This is Aho, Hopcroft and Ullman's tree
+    isomorphism test; keys nest to a fixed depth, so comparing two never
+    recurses along the tree."""
+    height: dict[int, int] = {}
+    for v in reversed(range(root, _subtree_end(t, root))):
+        height[v] = max(map(height.__getitem__, t.children[v]), default=-1) + 1
+    code: dict[int, tuple[int, int]] = {}
+    key = []
+    for h, nodes in groupby(sorted(height, key=height.get), key=height.get):
+        sigs = {
+            v: (
+                t.kinds[v],
+                t.labels[v] if with_labels else None,
+                tuple(sorted(map(code.__getitem__, t.children[v]))),
+            )
+            for v in nodes
+        }
+        level = sorted(set(sigs.values()))
+        rank = {sig: (h, i) for i, sig in enumerate(level)}
+        code.update((v, rank[sig]) for v, sig in sigs.items())
+        key.append(tuple(level))
+    return tuple(key)
 
 
 def reference_paths(t: Cotree):

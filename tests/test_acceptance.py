@@ -24,7 +24,6 @@ from cosec.cotree import (
     materialize,
     normalize,
     parse_cotree,
-    shape_key,
     subtree,
     to_text,
     union,
@@ -39,7 +38,7 @@ from cosec.oracles import (
     secure_domination_number,
 )
 
-from helpers import cosec_subprocess_env, has_induced_p4
+from helpers import cosec_subprocess_env, has_induced_p4, shape_key
 
 
 def _verdict(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -13,11 +13,8 @@ from cosec.cotree import (
     LEAF,
     UNION,
     Cotree,
-    Graph,
     _node_paths,
     _subtree_end,
-    _subtree_rows,
-    canonical_key,
     complement,
     from_nested,
     is_normalized,
@@ -29,7 +26,6 @@ from cosec.cotree import (
     node_paths,
     normalize,
     parse_cotree,
-    shape_key,
     subtree,
     to_dot,
     to_json,
@@ -38,7 +34,12 @@ from cosec.cotree import (
 )
 from cosec.errors import CotreeParseError, UnknownLeafError
 
-from helpers import deep_unnormalized_caterpillar, reference_paths
+from helpers import (
+    canonical_key,
+    deep_unnormalized_caterpillar,
+    reference_paths,
+    shape_key,
+)
 from strategies import cotrees, normalized_cotrees
 
 G1_TEXT = "(J (U c d e) (U (J a1) b))"
@@ -334,17 +335,6 @@ def test_array_constructors_match_their_definitions(t1, t2):
         assert canonical_key(sub) == canonical_key(t1, v)
     assert to_text(join(t1, t2)) == f"(J {to_text(t1)} {to_text(t2)})"
     assert to_text(union(t1, t2)) == f"(U {to_text(t1)} {to_text(t2)})"
-
-
-@given(st.one_of(cotrees(), normalized_cotrees()))
-@settings(deadline=None)
-def test_subtree_graphs_are_slices_of_the_whole_graph(t):
-    rows = _subtree_rows(t, materialize(t))
-    assert len(rows) == len(t)
-    for v in range(len(t)):
-        sub = subtree(t, v)
-        graph = Graph(len(rows[v]), tuple(sub.labels[w] for w in sub.leaves()), rows[v])
-        assert graph == materialize(sub)  # n, labels and adj
 
 
 def test_deep_unnormalized_caterpillar_end_to_end():

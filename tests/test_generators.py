@@ -11,14 +11,12 @@ from cosec.cotree import (
     LEAF,
     UNION,
     Cotree,
-    canonical_key,
     from_nested,
     is_normalized,
     leaf,
     materialize,
     normalize,
     parse_cotree,
-    shape_key,
     to_text,
 )
 from cosec.generators import (
@@ -31,7 +29,7 @@ from cosec.generators import (
     random_cotree,
 )
 
-from helpers import independent_shape_counts
+from helpers import canonical_key, independent_shape_counts, shape_key
 
 # Shape counts for 1..8 leaves, recorded from the enumerator and verified
 # against the independent generating-function count below (and by hand for

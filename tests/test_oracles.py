@@ -6,7 +6,6 @@ from cosec.cotree import (
     JOIN,
     UNION,
     Graph,
-    _subtree_rows,
     materialize,
     parse_cotree,
     subtree,
@@ -33,6 +32,7 @@ from cosec.oracles import (
     property_p_definitional_graph,
     secure_domination_number,
 )
+from cosec.verify import _graph_ids
 
 from strategies import cotrees, normalized_cotrees
 from test_cotree import _shuffled_children
@@ -294,11 +294,12 @@ def _outcome(fn, *args):
 
 @given(st.one_of(cotrees(), normalized_cotrees()))
 @settings(deadline=None)
-def test_graph_cores_on_slices_match_the_cotree_oracles(t):
-    rows = _subtree_rows(t, materialize(t))
+def test_graph_cores_on_interned_rows_match_the_cotree_oracles(t):
+    rows = []
+    ids = _graph_ids(t, {}, rows, lambda key, graph_rows: None)
 
     def graph_of(v):
-        return Graph(len(rows[v]), (), rows[v])  # no oracle reads labels
+        return Graph(len(rows[ids[v]]), (), rows[ids[v]])  # no oracle reads labels
 
     budgets = (DEFAULT_BUDGET, OracleBudget(4, 3), OracleBudget(3, 1), OracleBudget(1, 1))
     for v in range(len(t)):

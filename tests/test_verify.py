@@ -1,14 +1,18 @@
 import json
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from cosec.cotree import (
+    JOIN,
+    UNION,
+    Graph,
     leaf,
     materialize,
+    normalize,
     parse_cotree,
-    shape_key,
     subtree,
     to_text,
     union,
@@ -19,13 +23,15 @@ from cosec.oracles import OracleBudget
 from cosec.verify import (
     Mismatch,
     VerificationReport,
+    _graph_ids,
     check_tree,
     report_json,
     report_text,
     verify_corpora,
 )
 
-from strategies import normalized_cotrees
+from helpers import shape_key
+from strategies import cotrees, normalized_cotrees
 
 
 def test_exhaustive_n4_is_totally_clean():
@@ -276,6 +282,101 @@ def test_gamma_oracle_runs_once_per_distinct_node_graph(monkeypatch):
     ) in report_text(report).splitlines()
 
 
+def test_each_predicate_line_counts_the_distinct_graphs_it_asked_about():
+    report = verify_corpora(max_n=7, random_count=300, random_leaves=14, seed=5)
+    trees = [*enumerate_cotrees(7), *random_corpus(300, 14, 5)]
+    rows = [[materialize(subtree(t, v)).adj for v in range(len(t))] for t in trees]
+    nodes = [(t, v, rows[k][v]) for k, t in enumerate(trees) for v in range(len(t))]
+    joins = [r for t, v, r in nodes if t.kinds[v] == JOIN]
+    unions = [r for t, v, r in nodes if t.kinds[v] == UNION]
+    pairs = [
+        tuple(rows[k][c] for c in t.children[v])
+        for k, t in enumerate(trees)
+        for v in range(len(t))
+        if t.kinds[v] == UNION and len(t.children[v]) == 2
+    ]
+    roots = [r[t.root] for t, r in zip(trees, rows)]
+    deep = [r[t.root] for t, r in zip(trees, rows) if t.n_leaves() <= 8]
+    expected = [
+        ("gamma, is_clique", len(nodes), len({r for _, _, r in nodes})),
+        ("p_corrected", len(joins), len(set(joins))),
+        ("label_r_structural", len(unions), len(set(unions))),
+        ("label_r", len(unions), len(set(pairs))),
+        ("gamma_s_is_one", len(trees), len(set(roots))),
+        ("gamma_s", len(deep), len(set(deep))),
+    ]
+    assert _count_lines(report) == [
+        f"{predicate}: {compared} compared, {n} oracle evaluations"
+        for predicate, compared, n in expected
+    ]
+
+
+def test_readme_count_block_is_the_seed_3_report():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("--max-n 9 --random 2000 --leaves 14 --seed 3`:\n\n```\n")[1]
+    block = block.split("```")[0].splitlines()
+    report = verify_corpora(max_n=9, random_count=2000, random_leaves=14, seed=3)
+    assert block == _count_lines(report)
+
+
+def _count_lines(report):
+    lines = report_text(report).splitlines()
+    return [line for line in lines if line.endswith(" oracle evaluations")]
+
+
+@given(st.lists(st.one_of(cotrees(), normalized_cotrees()), min_size=1, max_size=4))
+@settings(deadline=None)
+def test_interned_rows_are_the_subtree_graphs(trees):
+    ids, rows, seen = {}, [], []
+
+    def first_sight(key, graph_rows):
+        seen.append((key, graph_rows, len(rows)))  # the id is not stored yet
+
+    per_tree = [_graph_ids(t, ids, rows, first_sight) for t in trees]
+    assert [(graph_rows, i) for _, graph_rows, i in seen] == list(zip(rows, range(len(rows))))
+    assert {key: i for key, _, i in seen[1:]} == ids  # id 0, the leaf's, has no key
+    for t, graph_ids in zip(trees, per_tree):
+        assert len(graph_ids) == len(t)
+        for v, i in enumerate(graph_ids):
+            sub = subtree(t, v)
+            labels = tuple(sub.labels[w] for w in sub.leaves())
+            assert Graph(len(rows[i]), labels, rows[i]) == materialize(sub)  # n, labels, adj
+    normalized = [
+        (rows[i], i)
+        for t, graph_ids in zip(trees, per_tree)
+        for v, i in enumerate(graph_ids)
+        if t == normalize(t)
+    ]
+    # one id per distinct graph: equal rows ⟺ equal ids
+    assert len({r for r, _ in normalized}) == len({i for _, i in normalized})
+    assert len(set(normalized)) == len({i for _, i in normalized})
+
+
+def test_refusals_come_in_the_documented_order():
+    message = (
+        "secure_domination_number oracle budget exceeded: graph has {} vertices, cap is {}"
+    )
+    t = parse_cotree("(U (J v0 v1) (J v2 v3))")
+    with pytest.raises(BudgetExceededError) as exc_info:
+        check_tree(t, VerificationReport(corpus="one tree"), OracleBudget(8, 1))
+    assert str(exc_info.value) == message.format(4, 1)  # the root's γ_s, not ℛ's
+    trees = list(enumerate_cotrees(8))
+    for s in range(1, 8):
+        report = VerificationReport(corpus="exhaustive <= 8")
+        for t in trees:
+            n = t.n_leaves()
+            for _ in range(2 if n > s else 1):  # a refused tree refuses again
+                try:
+                    check_tree(t, report, OracleBudget(8, s))
+                except BudgetExceededError as exc:
+                    assert n > s and str(exc) == message.format(n, s)
+                else:
+                    assert n <= s
+        # a refused tree adds nothing to the report
+        assert report.instances == sum(t.n_leaves() <= s for t in trees)
+        assert report.ok
+
+
 def test_no_verdict_outlives_its_run(monkeypatch):
     import cosec.verify
 
@@ -344,8 +445,23 @@ def _faulty_columns(column, node, value):
             "(J (U c d e) (U a1 b))", "annotate", _faulty_columns("is_clique", 1, True),
             "is_clique", 1, "root.0", False, True,
         ),
+        (
+            "(U (J a b) c)", "annotate", _faulty_columns("label_r", 0, False),
+            "label_r", 0, "root", True, False,
+        ),
+        (
+            "(U (J a b) c)", "label_r_structural_graph", lambda g: False,
+            "label_r_structural", 0, "root", True, False,
+        ),
+        (
+            "(U a b c)", "label_r_structural_graph", lambda g: True,
+            "label_r_structural", 0, "root", False, True,
+        ),
     ],
-    ids=["gamma_s_is_one", "gamma_s", "p_original", "is_clique"],
+    ids=[
+        "gamma_s_is_one", "gamma_s", "p_original", "is_clique", "label_r",
+        "label_r_structural", "label_r_structural_three_children",
+    ],
 )
 def test_each_injected_fault_is_reported_by_its_own_predicate(
     monkeypatch, text, name, fault, predicate, node, path, expected, got
@@ -360,3 +476,33 @@ def test_each_injected_fault_is_reported_by_its_own_predicate(
     report = VerificationReport(corpus="one tree")
     check_tree(t, report, OracleBudget())
     assert report.mismatches == [Mismatch(predicate, text, node, path, expected, got)]
+
+
+@pytest.mark.parametrize(
+    "text, faults",
+    [
+        ("(U (J a b) c)", {"label_r_definitional_graphs": lambda ga, gb, budget: False}),
+        (
+            "(U a b c)",
+            {
+                "label_r_structural_graph": lambda g: True,
+                "annotate": _faulty_columns("label_r", 0, True),
+            },
+        ),
+    ],
+    ids=["two_children", "three_children"],
+)
+def test_label_r_is_checked_where_the_pass_and_the_structural_rule_agree(
+    monkeypatch, text, faults
+):
+    import cosec.verify
+
+    for name, fault in faults.items():
+        monkeypatch.setattr(cosec.verify, name, fault)
+    t = parse_cotree(text)
+    report = VerificationReport(corpus="one tree")
+    check_tree(t, report, OracleBudget())
+    assert report.mismatches == [
+        Mismatch("label_r_structural", text, 0, "root", False, True),
+        Mismatch("label_r", text, 0, "root", False, True),
+    ]
