@@ -37,7 +37,7 @@ import os
 import sys
 from itertools import islice
 
-from . import _deferred_getattr
+from . import _DEFERRED, _deferred_getattr
 from .annotate import _FACTS, annotate
 from .cotree import _node_paths, normalize, parse_cotree, to_dot, to_text
 from .errors import BudgetExceededError
@@ -48,15 +48,7 @@ from .errors import BudgetExceededError
 # wrapper set on the module then takes effect as it would for an import.
 __getattr__ = _deferred_getattr(
     globals(),
-    {
-        name: home
-        for home, names in (
-            ("generators", "GkSpec RandomSpec g_k random_cotree"),
-            ("oracles", "DEFAULT_BUDGET OracleBudget"),
-            ("verify", "VerificationReport check_tree report_json report_text verify_corpora"),
-        )
-        for name in names.split()
-    },
+    {**_DEFERRED, **dict.fromkeys(("check_tree", "report_json", "report_text"), "verify")},
 )
 _cli = sys.modules[__name__]
 

@@ -71,7 +71,14 @@ _CLOSE = object()  # sentinel for the iterative printer
 
 @dataclass(frozen=True)
 class Cotree:
-    """Immutable cotree; see the module docstring for the id invariant."""
+    """Immutable cotree; see the module docstring for the id invariant.
+
+    ``validate()`` checks that invariant, and ``from_nested``, ``union`` and
+    ``join`` call it; building a ``Cotree(...)`` directly skips it.
+    ``annotate``, ``materialize``, ``_node_paths`` and ``verify._graph_ids``
+    rely on the invariant without checking it: each passes over the ids in
+    order or in reverse and assumes every child id exceeds its parent's.
+    """
 
     kinds: tuple[str, ...]
     children: tuple[tuple[int, ...], ...]

@@ -143,9 +143,8 @@ def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
     A shape is a flat pre-order string: "L" is a leaf, op ("U" or "J") opens
     an inner node and ")" closes it, its children's shapes concatenated in
     sorted order between; they are leaves or nodes of the opposite op.
-    Shapes are self-delimiting and ``")" < "J" < "L" < "U"``, so string order
-    is the order of the nested ``(op, *children)`` / ``("L",)`` tuples the
-    shapes once were, and the corpus order is unchanged.
+    Shapes are self-delimiting and ``")" < "J" < "L" < "U"``, so sorting them
+    as strings keeps the recorded corpus order.
     """
     key = (n, op)
     if key in memo:

@@ -7,12 +7,14 @@ written definitions as possible — no shortcuts that presuppose what we are
 trying to check.
 
 Subset arguments (``VertexSet``) are either an iterable of vertex indices or
-an int bitmask; internally everything is bitmasks.  The minimization oracles
-scan subsets in ascending cardinality and stop at the first witness, which
-is exact (the first size with a witness is the minimum) and fast on dense
-graphs where γ and γ_s are small.  Graphs above the configured vertex caps
-raise :class:`~cosec.errors.BudgetExceededError` instead of degrading to a
-heuristic.
+an int bitmask; internally everything is bitmasks.  Both minimization oracles
+read one scan, ``_dominating_masks``: the dominating subsets in ascending
+cardinality.  γ is the size of its first set and γ_s the size of the first
+that passes the swap test, which is exact (the first size with a witness is
+the minimum) and fast on dense graphs where γ and γ_s are small.  A graph
+above the vertex cap that governs a check is refused by one method,
+``OracleBudget.admit``, with :class:`~cosec.errors.BudgetExceededError`
+instead of degrading to a heuristic; the scan calls it before it reads a row.
 
 A set S dominates when its closed neighbourhood N[S], the union of N[v] over
 v ∈ S, is all of V.  The swap test of secure domination, "(S ∪ {x}) ∖ {y}
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .cotree import (
     JOIN,
@@ -67,6 +69,14 @@ class OracleBudget:
             raise ValueError("budget caps must be positive")
         if self.max_vertices_secure > self.max_vertices_domination:
             raise ValueError("secure cap must not exceed domination cap")
+
+    def admit(self, check: str, n: int) -> None:
+        """Refuse an n-vertex graph above the cap that governs ``check``: the
+        secure cap for ``secure_domination_number``, else the domination cap."""
+        secure = check == "secure_domination_number"
+        cap = self.max_vertices_secure if secure else self.max_vertices_domination
+        if n > cap:
+            raise BudgetExceededError(check, n, cap)
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -148,48 +158,43 @@ def _swaps_dominate(adj: tuple[int, ...], full: int, mask: int) -> bool:
     return True
 
 
-def domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """γ(g) by ascending-cardinality subset scan."""
-    cap = budget.max_vertices_domination
-    if g.n > cap:
-        raise BudgetExceededError("domination_number", g.n, cap)
+def _dominating_masks(g: Graph, check: str, budget: OracleBudget) -> Iterator[int]:
+    """The dominating subsets of g as bitmasks, in ascending cardinality.
+
+    Each candidate is tested by one OR of its members' closed
+    neighbourhoods.  The cap check for ``check`` runs before any row is read.
+    """
+    budget.admit(check, g.n)
     closed = [g.closed_mask(v) for v in range(g.n)]
     full = g.full_mask
-    for k in range(1, g.n + 1):
-        for sub in combinations(closed, k):
-            cover = 0
-            for m in sub:
-                cover |= m
-            if cover == full:
-                return k
-    raise AssertionError("V(g) always dominates")  # pragma: no cover
-
-
-def secure_domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """γ_s(g) by ascending-cardinality subset scan.
-
-    Each candidate is tested for domination by one OR of its members' closed
-    neighbourhoods; only a dominating candidate goes on to the swap test,
-    which evaluates each swap (S ∪ {x}) ∖ {y} as N[S ∖ {y}] ∪ N[x] (see the
-    module docstring).  Both are the definition, evaluated on bitmasks.
-    """
-    cap = budget.max_vertices_secure
-    if g.n > cap:
-        raise BudgetExceededError("secure_domination_number", g.n, cap)
-    adj, full = g.adj, g.full_mask
-    closed = [g.closed_mask(v) for v in range(g.n)]
     for k in range(1, g.n + 1):
         for sub in combinations(range(g.n), k):
             cover = 0
             for v in sub:
                 cover |= closed[v]
-            if cover != full:
-                continue
-            mask = 0
-            for v in sub:
-                mask |= 1 << v
-            if _swaps_dominate(adj, full, mask):
-                return k
+            if cover == full:
+                mask = 0
+                for v in sub:
+                    mask |= 1 << v
+                yield mask
+
+
+def domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """γ(g): the size of the first set of the ascending scan."""
+    for mask in _dominating_masks(g, "domination_number", budget):
+        return mask.bit_count()
+    raise AssertionError("V(g) always dominates")  # pragma: no cover
+
+
+def secure_domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """γ_s(g): the size of the first set of the ascending scan that passes the
+    swap test, which evaluates each swap (S ∪ {x}) ∖ {y} as N[S ∖ {y}] ∪ N[x]
+    (see the module docstring).  Both are the definition, on bitmasks.
+    """
+    adj, full = g.adj, g.full_mask
+    for mask in _dominating_masks(g, "secure_domination_number", budget):
+        if _swaps_dominate(adj, full, mask):
+            return mask.bit_count()
     raise AssertionError("V(g) always secure-dominates")  # pragma: no cover
 
 
@@ -304,21 +309,14 @@ def label_r_definitional_graphs(
     the child graphs so the call refuses the same inputs the full oracles
     would refuse.
     """
-
-    def checked(g: Graph, check: str, cap: int) -> Graph:
-        if g.n > cap:
-            raise BudgetExceededError(check, g.n, cap)
-        return g
-
     deferred: BudgetExceededError | None = None
     for x, y in ((ga, gb), (gb, ga)):
         try:
-            if gamma_is_one(
-                checked(x, "domination_number", budget.max_vertices_domination)
-            ) and gamma_s_is_one(
-                checked(y, "secure_domination_number", budget.max_vertices_secure)
-            ):
-                return True
+            budget.admit("domination_number", x.n)
+            if gamma_is_one(x):
+                budget.admit("secure_domination_number", y.n)
+                if gamma_s_is_one(y):
+                    return True
         except BudgetExceededError as exc:
             deferred = exc
     if deferred is not None:

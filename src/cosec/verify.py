@@ -33,7 +33,6 @@ from itertools import chain
 
 from .annotate import annotate
 from .cotree import JOIN, LEAF, UNION, Cotree, Graph, node_paths, to_text
-from .errors import BudgetExceededError
 from .generators import enumerate_cotrees, random_corpus
 from .oracles import (
     DEFAULT_BUDGET,
@@ -166,9 +165,7 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     report, one budget.
     """
     n = t.n_leaves()
-    cap = budget.max_vertices_domination
-    if n > cap:  # the largest graph: refuse before building any
-        raise BudgetExceededError("domination_number", n, cap)
+    budget.admit("domination_number", n)  # the largest graph: before building any
     at = annotate(t)
     known = report._verdicts
     rows, facts, pending = known.rows, known.facts, known.pending

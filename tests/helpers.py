@@ -1,6 +1,7 @@
 """Shared test-side oracles, which must stay independent of the package
-logic, the order-insensitive tree keys the tests compare by, and the
-child-process environment for the CLI tests."""
+logic, the order-insensitive tree keys the tests compare by, the outcome of
+a call that may refuse, and the child-process environment for the CLI
+tests."""
 
 import os
 from itertools import combinations, groupby
@@ -8,6 +9,15 @@ from pathlib import Path
 
 import cosec
 from cosec.cotree import JOIN, UNION, Cotree, Graph, _subtree_end, iter_set_bits
+from cosec.errors import BudgetExceededError, NotAJoinError
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (AssertionError, BudgetExceededError, NotAJoinError) as exc:
+        return type(exc), str(exc)
 
 
 def cosec_subprocess_env() -> dict[str, str]:

@@ -40,7 +40,7 @@ from helpers import (
     reference_paths,
     shape_key,
 )
-from strategies import cotrees, normalized_cotrees
+from strategies import cotrees, deep_caterpillars, normalized_cotrees
 
 G1_TEXT = "(J (U c d e) (U (J a1) b))"
 G1_EDGES = {
@@ -337,28 +337,41 @@ def test_array_constructors_match_their_definitions(t1, t2):
     assert to_text(union(t1, t2)) == f"(U {to_text(t1)} {to_text(t2)})"
 
 
-def test_deep_unnormalized_caterpillar_end_to_end():
-    levels = 100_000
-    text, spine = deep_unnormalized_caterpillar(levels)
+def _check_deep_caterpillar(text: str, spine: list[str]) -> tuple[Cotree, int]:
+    """Every stage on caterpillar text and the kinds of its branching levels;
+    returns the normalized tree and the inner node whose subtree was checked."""
     t = parse_cotree(text)
-    assert len(t) == levels + len(spine) + 1
+    assert len(t) == text.count("(") + len(spine) + 1
 
     tn = normalize(t)
     assert is_normalized(tn)
     # one inner node per run of equal kinds along the branching spine levels
-    runs = 1 + sum(a != b for a, b in zip(spine, spine[1:]))
+    runs = bool(spine) + sum(a != b for a, b in zip(spine, spine[1:]))
     assert len(tn) - tn.n_leaves() == runs
     assert [tn.labels[v] for v in tn.leaves()] == [t.labels[v] for v in t.leaves()]
     assert annotate(tn).node(tn.root).size == len(spine) + 1
 
     text = to_text(tn)
     assert parse_cotree(text) == tn
-    mid = next(v for v in range(len(tn) // 2, len(tn)) if not tn.is_leaf(v))
+    inner = [v for v in range(len(tn)) if not tn.is_leaf(v)]
+    mid = inner[len(inner) // 2] if inner else tn.root
     sub = subtree(tn, mid)
-    assert len(sub) == len(tn) - mid  # a caterpillar's spine node owns the rest
     assert to_text(sub) in text
     assert canonical_key(sub) == canonical_key(tn, mid)
-    assert shape_key(t) != shape_key(tn)
+    assert (shape_key(t) == shape_key(tn)) == is_normalized(t)
+    return tn, mid
+
+
+def test_deep_unnormalized_caterpillar_end_to_end():
+    tn, mid = _check_deep_caterpillar(*deep_unnormalized_caterpillar(100_000))
+    # a caterpillar's spine node owns the rest when every leaf comes first
+    assert len(subtree(tn, mid)) == len(tn) - mid
+
+
+@given(deep_caterpillars())
+@settings(max_examples=12, deadline=None)
+def test_drawn_deep_caterpillars_end_to_end(caterpillar):
+    _check_deep_caterpillar(*caterpillar)
 
 
 def _caterpillar(prefix: str, leaves: int) -> Cotree:

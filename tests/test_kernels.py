@@ -1,8 +1,9 @@
 """The bit-parallel verifier kernels against the bodies they replaced, kept
 here verbatim as the reference: ``is_dominating``, ``is_secure_dominating``,
-``secure_domination_number``, ``gamma_s_is_one``, ``is_clique`` and
-``_is_connected`` of ``cosec.oracles``, and ``cosec.cotree.materialize``.
-Old and new must give the same verdict on every input tried."""
+``domination_number``, ``secure_domination_number``, ``gamma_s_is_one``,
+``is_clique`` and ``_is_connected`` of ``cosec.oracles``, and
+``cosec.cotree.materialize``.  Old and new must give the same verdict on
+every input tried."""
 
 import random
 import sys
@@ -34,7 +35,7 @@ from cosec.oracles import (
     secure_domination_number,
 )
 
-from helpers import graph_from_edges
+from helpers import graph_from_edges, outcome
 
 
 def reference_is_dominating(g: Graph, s) -> bool:
@@ -62,6 +63,23 @@ def reference_is_secure_dominating(g: Graph, s) -> bool:
         if not guarded:
             return False
     return True
+
+
+def reference_domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """γ(g) by ascending-cardinality subset scan."""
+    cap = budget.max_vertices_domination
+    if g.n > cap:
+        raise BudgetExceededError("domination_number", g.n, cap)
+    closed = [g.closed_mask(v) for v in range(g.n)]
+    full = g.full_mask
+    for k in range(1, g.n + 1):
+        for sub in combinations(closed, k):
+            cover = 0
+            for m in sub:
+                cover |= m
+            if cover == full:
+                return k
+    raise AssertionError("V(g) always dominates")  # pragma: no cover
 
 
 def reference_secure_domination_number(
@@ -185,6 +203,23 @@ def test_kernels_match_the_reference_on_every_subset_of_exhaustive8(exhaustive8)
 def test_kernels_match_the_reference_on_random_graphs():
     for g in _random_graphs(20261018, 400, 8):
         _assert_kernels_agree_on_every_subset(g)
+
+
+def test_minimization_oracles_match_the_reference_under_each_budget(exhaustive8):
+    graphs = [
+        *map(materialize, exhaustive8),
+        *_random_graphs(20261019, 400, 8),
+        Graph(0, (), ()),  # no subset size to scan: each raises its AssertionError
+        Graph(5000, (), ()),  # unbuilt: refused on its vertex count alone
+    ]
+    for budget in (DEFAULT_BUDGET, OracleBudget(4, 3), OracleBudget(1, 1)):
+        for g in graphs:
+            assert outcome(domination_number, g, budget) == outcome(
+                reference_domination_number, g, budget
+            ), (g, budget)
+            assert outcome(secure_domination_number, g, budget) == outcome(
+                reference_secure_domination_number, g, budget
+            ), (g, budget)
 
 
 def test_materialize_matches_the_reference(exhaustive8, random5000):

@@ -34,6 +34,7 @@ from cosec.oracles import (
 )
 from cosec.verify import _graph_ids
 
+from helpers import outcome
 from strategies import cotrees, normalized_cotrees
 from test_cotree import _shuffled_children
 
@@ -259,37 +260,50 @@ def _wide_union(n):
     return parse_cotree("(U " + " ".join(f"v{i}" for i in range(n)) + ")")
 
 
+def _refusal(check, n, cap):
+    return f"{check} oracle budget exceeded: graph has {n} vertices, cap is {cap}"
+
+
 def test_domination_budget_is_enforced():
     g = materialize(_wide_union(21))
     with pytest.raises(BudgetExceededError) as exc_info:
         domination_number(g)
     assert exc_info.value.needed == 21
     assert exc_info.value.cap == 20
+    assert str(exc_info.value) == _refusal("domination_number", 21, 20)
     assert domination_number(g, OracleBudget(25, 16)) == 21
 
 
 def test_secure_budget_is_enforced():
     g = materialize(_wide_union(17))
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as exc_info:
         secure_domination_number(g)
+    assert str(exc_info.value) == _refusal("secure_domination_number", 17, 16)
+
+
+def test_minimization_oracles_refuse_on_the_vertex_count_alone():
+    unbuilt = Graph(5000, (), ())  # no rows: reading one raises IndexError
+    for oracle, cap in ((domination_number, 20), (secure_domination_number, 16)):
+        with pytest.raises(BudgetExceededError) as exc_info:
+            oracle(unbuilt)
+        assert str(exc_info.value) == _refusal(oracle.__name__, 5000, cap)
 
 
 def test_label_r_definitional_respects_budget():
-    t = parse_cotree("(U (J a b c) (J d e f))")
     tight = OracleBudget(2, 2)
-    with pytest.raises(BudgetExceededError):
-        label_r_definitional(t, t.root, tight)
+    for text, refusal in (
+        ("(U (J a b c) (J d e f))", _refusal("domination_number", 3, 2)),
+        # both orientations are tried; the second one's refusal is raised
+        ("(U (J a b c) (J d e))", _refusal("secure_domination_number", 3, 2)),
+        ("(U (J d e) (J a b c))", _refusal("domination_number", 3, 2)),
+    ):
+        t = parse_cotree(text)
+        with pytest.raises(BudgetExceededError) as exc_info:
+            label_r_definitional(t, t.root, tight)
+        assert str(exc_info.value) == refusal
     # a decidable-within-budget True short-circuits before the caps matter
     t2 = parse_cotree("(U a b)")
     assert label_r_definitional(t2, t2.root, tight) is True
-
-
-def _outcome(fn, *args):
-    """A call's value, or the type and message of the error it raised."""
-    try:
-        return fn(*args)
-    except (BudgetExceededError, NotAJoinError) as exc:
-        return type(exc), str(exc)
 
 
 @given(st.one_of(cotrees(), normalized_cotrees()))
@@ -305,15 +319,15 @@ def test_graph_cores_on_interned_rows_match_the_cotree_oracles(t):
     for v in range(len(t)):
         assert label_r_structural_graph(graph_of(v)) == label_r_structural(t, v)
         if t.kinds[v] == JOIN:
-            wrapped = _outcome(property_p_definitional, subtree(t, v))
+            wrapped = outcome(property_p_definitional, subtree(t, v))
             if isinstance(wrapped, bool):  # else a unary join normalized away
                 assert property_p_definitional_graph(graph_of(v)) is wrapped
         children = t.children[v]
         for budget in budgets:
-            wrapped = _outcome(label_r_definitional, t, v, budget)
+            wrapped = outcome(label_r_definitional, t, v, budget)
             if t.kinds[v] == UNION and len(children) == 2:
                 a, b = map(graph_of, children)
-                assert _outcome(label_r_definitional_graphs, a, b, budget) == wrapped
+                assert outcome(label_r_definitional_graphs, a, b, budget) == wrapped
             else:
                 assert wrapped is False
 
