@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import ceil, log
 from typing import Iterator
 
 from .cotree import _OPPOSITE, JOIN, LEAF, UNION, Cotree, leaf, normalize, parse_cotree
@@ -54,45 +55,65 @@ def random_cotree(spec: RandomSpec) -> Cotree:
     Levels alternate union/join (top kind random), arities are drawn from
     [2, max_arity], so the output is normalized by construction.  Leaves are
     labeled v0, v1, … in construction order.  Identical specs give identical
-    trees.
+    trees.  The draws are ``random.py``'s ``choice``, ``randint`` and
+    ``sample`` written out draw for draw over ``rng.getrandbits``.
     """
     rng = random.Random(spec.seed)
     if spec.leaf_count == 1:
         return leaf("v0")
+
+    def below(n: int) -> int:  # random.py's _randbelow
+        r = rng.getrandbits(n.bit_length())
+        while r >= n:
+            r = rng.getrandbits(n.bit_length())
+        return r
+
     kinds: list[str] = []
-    children: list[list[int]] = []
+    children: list = []
     labels: list[str | None] = []
     counter = 0
     # Popping a stack item gives the next pre-order id.  An item is (parent,
-    # label) for a leaf, labeled when its parent draws, or (parent, leaf
-    # count) for an inner node, which draws when it is popped.  That keeps
-    # the draws and the labels in the order the frozen corpora in
-    # tests/conftest.py were recorded with.
+    # label) for a leaf, labeled when its parent draws, or (parent, leaf count)
+    # for an inner node, which draws when it is popped: the draw and label
+    # order the frozen corpora in tests/conftest.py were recorded with.
     stack: list[tuple[int, str | int]] = [(-1, spec.leaf_count)]
-    top_kind = rng.choice((UNION, JOIN))
+    top_kind = (UNION, JOIN)[below(2)]
     while stack:
         parent, item = stack.pop()
         v = len(kinds)
-        children.append([])
         if parent >= 0:
             children[parent].append(v)
-        if isinstance(item, str):
+        if item.__class__ is str:
             kinds.append(LEAF)
             labels.append(item)
+            children.append(())
             continue
         kinds.append(_OPPOSITE[kinds[parent]] if parent >= 0 else top_kind)
         labels.append(None)
-        arity = rng.randint(2, min(spec.max_arity, item))
-        cuts = sorted(rng.sample(range(1, item), arity - 1))
-        bounds = [0, *cuts, item]
+        children.append([])
+        arity = 2 + below(min(spec.max_arity, item) - 1)
+        n, k = item - 1, arity - 1  # sample(range(1, item), k)
+        if k == 1:  # one draw, whichever way sample goes
+            cuts = (1 + below(n),)
+        elif n <= 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0):
+            pool = list(range(1, item))
+            for i in range(n, n - k, -1):
+                j = below(i)
+                pool[j], pool[i - 1] = pool[i - 1], pool[j]
+            cuts = pool[n - k:]
+        else:
+            cuts = set()
+            while len(cuts) < k:
+                cuts.add(1 + below(n))
         kids: list[tuple[int, str | int]] = []
-        for i in range(arity):
-            part = bounds[i + 1] - bounds[i]
-            if part == 1:
+        last = 0
+        for cut in (*sorted(cuts), item):
+            if cut - last == 1:
                 kids.append((v, f"v{counter}"))
                 counter += 1
             else:
-                kids.append((v, part))
+                kids.append((v, cut - last))
+            last = cut
         stack.extend(reversed(kids))
     return Cotree(tuple(kinds), tuple(map(tuple, children)), tuple(labels))
 
@@ -102,12 +123,8 @@ def random_corpus(count: int, max_leaves: int, seed: int) -> Iterator[Cotree]:
     by ``seed`` (leaf counts and per-tree seeds come from one master RNG)."""
     master = random.Random(seed)
     for _ in range(count):
-        yield random_cotree(
-            RandomSpec(
-                leaf_count=master.randint(1, max_leaves),
-                seed=master.getrandbits(63),
-            )
-        )
+        leaf_count = master.randint(1, max_leaves)
+        yield random_cotree(RandomSpec(leaf_count, seed=master.getrandbits(63)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ trying to check.
 Subset arguments (``VertexSet``) are either an iterable of vertex indices or
 an int bitmask; internally everything is bitmasks.  Both minimization oracles
 read one scan, ``_dominating_masks``: the dominating subsets in ascending
-cardinality.  γ is the size of its first set and γ_s the size of the first
-that passes the swap test, which is exact (the first size with a witness is
-the minimum) and fast on dense graphs where γ and γ_s are small.  A graph
-above the vertex cap that governs a check is refused by one method,
-``OracleBudget.admit``, with :class:`~cosec.errors.BudgetExceededError`
-instead of degrading to a heuristic; the scan calls it before it reads a row.
+cardinality from the empty set, each candidate one OR of a closed
+neighbourhood onto its prefix's cover.  γ is the size of its first set and
+γ_s the size of the first that passes the swap test: exact (the first size
+with a witness is the minimum) and fast on dense graphs where both are small.
+``OracleBudget.admit`` refuses a graph above the cap that governs a check
+with :class:`~cosec.errors.BudgetExceededError`, never a heuristic; the scan
+calls it before it reads a row.
 
 A set S dominates when its closed neighbourhood N[S], the union of N[v] over
 v ∈ S, is all of V.  The swap test of secure domination, "(S ∪ {x}) ∖ {y}
@@ -159,24 +160,28 @@ def _swaps_dominate(adj: tuple[int, ...], full: int, mask: int) -> bool:
 
 
 def _dominating_masks(g: Graph, check: str, budget: OracleBudget) -> Iterator[int]:
-    """The dominating subsets of g as bitmasks, in ascending cardinality.
-
-    Each candidate is tested by one OR of its members' closed
-    neighbourhoods.  The cap check for ``check`` runs before any row is read.
+    """The dominating subsets of g as bitmasks: round k = 0, 1, …, n yields
+    those of ``combinations(range(n), k)`` in that order, so a check on
+    C(n, k) fits before each round.  Round k ≥ 2 ORs each prefix, a
+    (k-1)-subset of range(n - 1), once and tests its cover with N[w] for
+    every w after it.  The cap check for ``check`` runs before any row is read.
     """
     budget.admit(check, g.n)
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    full = g.full_mask
-    for k in range(1, g.n + 1):
-        for sub in combinations(range(g.n), k):
+    n, full = g.n, g.full_mask
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
+    if not full:  # round 0: N[∅] is empty, so ∅ dominates only the empty graph
+        yield 0
+    for v in range(n):  # round 1
+        if closed[v] == full:
+            yield 1 << v
+    for k in range(2, n + 1):
+        for prefix in combinations(range(n - 1), k - 1):
             cover = 0
-            for v in sub:
+            for v in prefix:
                 cover |= closed[v]
-            if cover == full:
-                mask = 0
-                for v in sub:
-                    mask |= 1 << v
-                yield mask
+            for w in range(v + 1, n):  # v is prefix[-1]
+                if cover | closed[w] == full:
+                    yield sum(1 << u for u in prefix) | 1 << w
 
 
 def domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -200,8 +205,11 @@ def secure_domination_number(g: Graph, budget: OracleBudget = DEFAULT_BUDGET) ->
 
 def is_clique(g: Graph, s: VertexSet) -> bool:
     """All pairs in s adjacent; vacuously true for |s| ≤ 1 (and empty s)."""
-    mask = as_mask(g, s)
-    adj = g.adj
+    return _is_clique(g.adj, as_mask(g, s))
+
+
+def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
+    """``is_clique`` on a mask already known to be in range."""
     rest = mask
     while rest:
         low = rest & -rest
@@ -212,7 +220,7 @@ def is_clique(g: Graph, s: VertexSet) -> bool:
 
 
 def is_complete(g: Graph) -> bool:
-    return is_clique(g, g.full_mask)
+    return _is_clique(g.adj, g.full_mask)
 
 
 def gamma_is_one(g: Graph) -> bool:
@@ -263,9 +271,9 @@ def property_p_definitional_graph(g: Graph) -> bool:
     An O(n²) pair scan after an O(n²)-word precomputation of the per-vertex
     remainder-is-clique flags.
     """
-    full = g.full_mask
-    closed = [g.closed_mask(v) for v in range(g.n)]
-    ok = [is_clique(g, full & ~closed[v]) for v in range(g.n)]
+    full, adj = g.full_mask, g.adj
+    closed = [row | 1 << v for v, row in enumerate(adj)]
+    ok = [_is_clique(adj, full & ~nbhd) for nbhd in closed]
     for x in range(g.n):
         if not ok[x]:
             continue
@@ -334,8 +342,8 @@ def label_r_structural_graph(g: Graph) -> bool:
     """g is disconnected and some vertex w leaves a clique as V ∖ N[w]."""
     if _is_connected(g):
         return False
-    full = g.full_mask
-    return any(is_clique(g, full & ~g.closed_mask(w)) for w in range(g.n))
+    full, adj = g.full_mask, g.adj
+    return any(_is_clique(adj, full & ~(row | 1 << w)) for w, row in enumerate(adj))
 
 
 def _is_connected(g: Graph) -> bool:

@@ -374,6 +374,50 @@ def test_drawn_deep_caterpillars_end_to_end(caterpillar):
     _check_deep_caterpillar(*caterpillar)
 
 
+@given(deep_caterpillars())
+@settings(max_examples=8, deadline=None)
+def test_drawn_deep_caterpillars_through_the_public_functions(caterpillar):
+    text, spine = caterpillar
+    t = parse_cotree(text)
+    n = len(t)
+
+    dot = to_dot(t).splitlines()
+    edges = [line for line in dot if " -- " in line]
+    assert len(dot) == 2 + n + len(edges) + 1 and len(edges) == n - 1
+    assert sorted(int(e.rsplit("n", 1)[1][:-1]) for e in edges) == list(range(1, n))
+    doc = to_json(t)
+    assert doc["root"] == 0 and len(doc["nodes"]) == n
+    rebuilt = Cotree(
+        tuple(d["kind"] for d in doc["nodes"]),
+        tuple(tuple(d["children"]) for d in doc["nodes"]),
+        tuple(d["label"] for d in doc["nodes"]),
+    )
+    assert rebuilt == t
+
+    # the leaf x{i} hangs off level i, so its lca with anything below that
+    # level is the level's node: the spine's kinds top-down, one per leaf
+    xs = sorted(
+        (lbl for lbl in t.labels if lbl and lbl != "end"), key=lambda x: int(x[1:])
+    )
+    assert len(xs) == len(spine)
+    flipped = complement(t)
+    swap = {LEAF: LEAF, UNION: JOIN, JOIN: UNION}
+    assert flipped.kinds == tuple(swap[k] for k in t.kinds)
+    assert complement(flipped) == t
+    for j in {0, len(spine) // 2, len(spine) - 1} if spine else ():
+        assert lca_kind(t, xs[j], "end") == spine[j]
+        assert lca_kind(flipped, xs[j], "end") == swap[spine[j]]
+    if len(spine) >= 2:
+        assert lca_kind(t, xs[-1], xs[0]) == spine[0]
+
+    nested: list = [None] * n
+    for v in reversed(range(n)):
+        nested[v] = t.labels[v] if t.is_leaf(v) else (
+            t.kinds[v], [nested[c] for c in t.children[v]]
+        )
+    assert from_nested(nested[0]) == t
+
+
 def _caterpillar(prefix: str, leaves: int) -> Cotree:
     """(U p0 (J p1 (U p2 … p{leaves-1}))): one leaf and one inner node per level."""
     parts = [f"({'UJ'[i % 2]} {prefix}{i} " for i in range(leaves - 1)]

@@ -168,7 +168,7 @@ def _nested_random_cotree(spec: RandomSpec) -> Cotree:
     return from_nested(root)
 
 
-@pytest.mark.parametrize("max_arity", [2, 3, 4, 7])
+@pytest.mark.parametrize("max_arity", [2, 3, 4, 7, 10, 30])
 def test_random_cotree_equals_the_nested_builder(max_arity):
     for seed in range(250):
         for leaves in (1, 2, 3, 5, 9, 16, 41):

@@ -25,6 +25,7 @@ from cosec.generators import RandomSpec, random_cotree
 from cosec.oracles import (
     DEFAULT_BUDGET,
     OracleBudget,
+    _dominating_masks,
     _is_connected,
     as_mask,
     domination_number,
@@ -209,9 +210,9 @@ def test_minimization_oracles_match_the_reference_under_each_budget(exhaustive8)
     graphs = [
         *map(materialize, exhaustive8),
         *_random_graphs(20261019, 400, 8),
-        Graph(0, (), ()),  # no subset size to scan: each raises its AssertionError
         Graph(5000, (), ()),  # unbuilt: refused on its vertex count alone
     ]
+    empty = Graph(0, (), ())
     for budget in (DEFAULT_BUDGET, OracleBudget(4, 3), OracleBudget(1, 1)):
         for g in graphs:
             assert outcome(domination_number, g, budget) == outcome(
@@ -220,6 +221,32 @@ def test_minimization_oracles_match_the_reference_under_each_budget(exhaustive8)
             assert outcome(secure_domination_number, g, budget) == outcome(
                 reference_secure_domination_number, g, budget
             ), (g, budget)
+        # The empty set dominates, and secure-dominates, the 0-vertex graph;
+        # the references start at size 1 and raise their AssertionError there.
+        assert domination_number(empty, budget) == 0
+        assert secure_domination_number(empty, budget) == 0
+
+
+def test_dominating_masks_are_the_dominating_combinations_in_order(exhaustive8):
+    graphs = [
+        *map(materialize, exhaustive8),
+        *_random_graphs(20261020, 400, 9),
+        Graph(0, (), ()),
+    ]
+    for g in graphs:
+        expected = [
+            mask
+            for k in range(g.n + 1)
+            for sub in combinations(range(g.n), k)
+            if reference_is_dominating(g, mask := sum(1 << v for v in sub))
+        ]
+        assert list(_dominating_masks(g, "domination_number", DEFAULT_BUDGET)) == (
+            expected
+        ), g
+    # unbuilt, with no rows: the refusal comes before the scan looks for one
+    unbuilt = Graph(5000, (), ())
+    with pytest.raises(BudgetExceededError):
+        next(_dominating_masks(unbuilt, "domination_number", DEFAULT_BUDGET))
 
 
 def test_materialize_matches_the_reference(exhaustive8, random5000):
