@@ -25,36 +25,44 @@ so a report cannot conflate "fails the predicate" with "predicate undefined".
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 
-from .cotree import JOIN, LEAF, UNION, Cotree
+from .cotree import JOIN, LEAF, UNION, Cotree, _Record
 from .errors import NotAJoinError, NotNormalizedError
 
 _NOT_NORMALIZED = "annotate requires a normalized cotree"
 
 
-@dataclass(frozen=True)
-class NodeAnnotations:
-    size: int
-    is_clique: bool
-    gamma: int
-    label_r: bool | None
-    union_of_two_cliques: bool | None
-    p_original: bool | None
-    p_corrected: bool | None
+class NodeAnnotations(_Record):
+    __slots__ = (
+        "size", "is_clique", "gamma", "label_r", "union_of_two_cliques",
+        "p_original", "p_corrected",
+    )
+
+    def __init__(
+        self, size: int, is_clique: bool, gamma: int, label_r: bool | None,
+        union_of_two_cliques: bool | None, p_original: bool | None, p_corrected: bool | None,
+    ):
+        set_size, set_clique, set_gamma, set_lr, set_u2c, set_po, set_pc = self._setters
+        set_size(self, size)
+        set_clique(self, is_clique)
+        set_gamma(self, gamma)
+        set_lr(self, label_r)
+        set_u2c(self, union_of_two_cliques)
+        set_po(self, p_original)
+        set_pc(self, p_corrected)
 
     @property
     def gamma_is_one(self) -> bool:
         return self.gamma == 1
 
 
-_FACTS = tuple(f.name for f in fields(NodeAnnotations))
+_FACTS = NodeAnnotations._fields
 
 
 class _AnnView(Mapping):
     """Read-only NodeId → NodeAnnotations mapping, built on demand.
 
-    Annotations live in parallel arrays; materializing a dataclass per node
+    Annotations live in parallel arrays; materializing a record per node
     up front would dominate the runtime on million-node trees.
     """
 
@@ -75,19 +83,30 @@ class _AnnView(Mapping):
         return len(self._at.tree)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class AnnotatedCotree:
+class AnnotatedCotree(_Record):
     """A cotree plus one column per :class:`NodeAnnotations` fact, indexed
-    by node id; the column names are the fact names and the JSON keys."""
+    by node id; the column names are the fact names and the JSON keys.
+    Equality and hashing are by identity."""
 
-    tree: Cotree
-    size: list[int]
-    is_clique: list[bool]
-    gamma: list[int]
-    label_r: list[bool | None]
-    union_of_two_cliques: list[bool | None]
-    p_original: list[bool | None]
-    p_corrected: list[bool | None]
+    __slots__ = ("tree", *_FACTS)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(
+        self, tree: Cotree, size: list[int], is_clique: list[bool], gamma: list[int],
+        label_r: list[bool | None], union_of_two_cliques: list[bool | None],
+        p_original: list[bool | None], p_corrected: list[bool | None],
+    ):
+        set_tree, set_size, set_clique, set_gamma, set_lr, set_u2c, set_po, set_pc = (
+            self._setters
+        )
+        set_tree(self, tree)
+        set_size(self, size)
+        set_clique(self, is_clique)
+        set_gamma(self, gamma)
+        set_lr(self, label_r)
+        set_u2c(self, union_of_two_cliques)
+        set_po(self, p_original)
+        set_pc(self, p_corrected)
 
     def __len__(self) -> int:
         return len(self.tree)

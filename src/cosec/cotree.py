@@ -35,7 +35,6 @@ separate pass.  Leaf labels must be unique within one tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
 from operator import length_hint
 from typing import Iterator
@@ -69,9 +68,52 @@ _EMPTY_NODE = "empty node: operator without children"
 _CLOSE = object()  # sentinel for the iterative printer
 
 
-@dataclass(frozen=True)
-class Cotree:
-    """Immutable cotree; see the module docstring for the id invariant.
+class _Record:
+    """Base of the record types: ``__slots__`` classes compared, hashed and
+    shown (``Name(field=value, ...)``) by their public slots, ``_fields``.
+    ``__init__`` stores each slot through ``_setters``, past the
+    ``__setattr__`` that refuses every later assignment; a mutable subclass
+    restores ``__setattr__`` and ``__delattr__`` and unsets ``__hash__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = tuple(s for s in cls.__slots__ if s[0] != "_")
+        cls._setters = tuple(getattr(cls, s).__set__ for s in cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> list:  # every slot, private ones included
+        return [getattr(self, name) for name in self.__slots__]
+
+    def __setstate__(self, state: list) -> None:
+        for set_slot, value in zip(self._setters, state):
+            set_slot(self, value)
+
+
+class Cotree(_Record):
+    """Cotree; see the module docstring for the id invariant.  Instances are
+    immutable ``__slots__`` records with value equality, by their fields.
 
     ``validate()`` checks that invariant, and ``from_nested``, ``union`` and
     ``join`` call it; building a ``Cotree(...)`` directly skips it.
@@ -80,10 +122,17 @@ class Cotree:
     order or in reverse and assumes every child id exceeds its parent's.
     """
 
-    kinds: tuple[str, ...]
-    children: tuple[tuple[int, ...], ...]
-    labels: tuple[str | None, ...]
-    root: int = 0
+    __slots__ = ("kinds", "children", "labels", "root")
+
+    def __init__(
+        self, kinds: tuple[str, ...], children: tuple[tuple[int, ...], ...],
+        labels: tuple[str | None, ...], root: int = 0,
+    ):
+        set_kinds, set_children, set_labels, set_root = self._setters
+        set_kinds(self, kinds)
+        set_children(self, children)
+        set_labels(self, labels)
+        set_root(self, root)
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -151,13 +200,16 @@ class Cotree:
             raise ValueError("unreachable nodes present")
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Simple undirected graph over vertices 0..n-1 with bitmask adjacency rows."""
 
-    n: int
-    labels: tuple[str, ...]
-    adj: tuple[int, ...]
+    __slots__ = ("n", "labels", "adj")
+
+    def __init__(self, n: int, labels: tuple[str, ...], adj: tuple[int, ...]):
+        set_n, set_labels, set_adj = self._setters
+        set_n(self, n)
+        set_labels(self, labels)
+        set_adj(self, adj)
 
     @property
     def full_mask(self) -> int:

@@ -4,35 +4,36 @@ and an exhaustive enumerator of small normalized cotree shapes."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import ceil, log
 from typing import Iterator
 
 from .cotree import _OPPOSITE, JOIN, LEAF, UNION, Cotree, leaf, normalize, parse_cotree
+from .cotree import _Record
 
 
-@dataclass(frozen=True)
-class GkSpec:
+class GkSpec(_Record):
     """Parameter for the counterexample family; k is the clique size."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+    def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self._setters[0](self, k)
 
 
-@dataclass(frozen=True)
-class RandomSpec:
-    leaf_count: int
-    seed: int
-    max_arity: int = 4
+class RandomSpec(_Record):
+    __slots__ = ("leaf_count", "seed", "max_arity")
 
-    def __post_init__(self):
-        if self.leaf_count < 1:
-            raise ValueError(f"leaf_count must be >= 1, got {self.leaf_count}")
-        if self.max_arity < 2:
-            raise ValueError(f"max_arity must be >= 2, got {self.max_arity}")
+    def __init__(self, leaf_count: int, seed: int, max_arity: int = 4):
+        if leaf_count < 1:
+            raise ValueError(f"leaf_count must be >= 1, got {leaf_count}")
+        if max_arity < 2:
+            raise ValueError(f"max_arity must be >= 2, got {max_arity}")
+        set_leaf_count, set_seed, set_max_arity = self._setters
+        set_leaf_count(self, leaf_count)
+        set_seed(self, seed)
+        set_max_arity(self, max_arity)
 
 
 def g_k(spec: GkSpec) -> Cotree:

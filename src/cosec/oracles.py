@@ -36,7 +36,6 @@ and build no cotree per node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -45,6 +44,7 @@ from .cotree import (
     UNION,
     Cotree,
     Graph,
+    _Record,
     materialize,
     normalize,
     subtree,
@@ -54,22 +54,23 @@ from .errors import BudgetExceededError, NotAJoinError
 VertexSet = int | Iterable[int]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Record):
     """Vertex caps for the 2^n subset scans.
 
     ``max_vertices_secure`` is the smaller cap because the secure-domination
     check multiplies the subset scan by a per-subset swap scan.
     """
 
-    max_vertices_domination: int = 20
-    max_vertices_secure: int = 16
+    __slots__ = ("max_vertices_domination", "max_vertices_secure")
 
-    def __post_init__(self):
-        if self.max_vertices_secure < 1 or self.max_vertices_domination < 1:
+    def __init__(self, max_vertices_domination: int = 20, max_vertices_secure: int = 16):
+        if max_vertices_secure < 1 or max_vertices_domination < 1:
             raise ValueError("budget caps must be positive")
-        if self.max_vertices_secure > self.max_vertices_domination:
+        if max_vertices_secure > max_vertices_domination:
             raise ValueError("secure cap must not exceed domination cap")
+        set_domination, set_secure = self._setters
+        set_domination(self, max_vertices_domination)
+        set_secure(self, max_vertices_secure)
 
     def admit(self, check: str, n: int) -> None:
         """Refuse an n-vertex graph above the cap that governs ``check``: the

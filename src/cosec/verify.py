@@ -28,11 +28,10 @@ by ``cosec annotate --oracle-check``.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from itertools import chain
 
 from .annotate import annotate
-from .cotree import JOIN, LEAF, UNION, Cotree, Graph, node_paths, to_text
+from .cotree import JOIN, LEAF, UNION, Cotree, Graph, _Record, node_paths, to_text
 from .generators import enumerate_cotrees, random_corpus
 from .oracles import (
     DEFAULT_BUDGET,
@@ -49,14 +48,19 @@ from .oracles import (
 _DEEP_CHECK_MAX_LEAVES = 8
 
 
-@dataclass(frozen=True)
-class Mismatch:
-    predicate: str
-    cotree: str
-    node: int
-    path: str
-    expected: object
-    got: object
+class Mismatch(_Record):
+    __slots__ = ("predicate", "cotree", "node", "path", "expected", "got")
+
+    def __init__(
+        self, predicate: str, cotree: str, node: int, path: str, expected: object, got: object
+    ):
+        set_predicate, set_cotree, set_node, set_path, set_expected, set_got = self._setters
+        set_predicate(self, predicate)
+        set_cotree(self, cotree)
+        set_node(self, node)
+        set_path(self, path)
+        set_expected(self, expected)
+        set_got(self, got)
 
     def __str__(self) -> str:
         return (
@@ -65,15 +69,20 @@ class Mismatch:
         )
 
 
-@dataclass(frozen=True)
-class OriginalLemmaFinding:
+class OriginalLemmaFinding(_Record):
     """A join node where the published rule contradicts the definition."""
 
-    cotree: str
-    node: int
-    path: str
-    p_original: bool
-    definitional: bool
+    __slots__ = ("cotree", "node", "path", "p_original", "definitional")
+
+    def __init__(
+        self, cotree: str, node: int, path: str, p_original: bool, definitional: bool
+    ):
+        set_cotree, set_node, set_path, set_p_original, set_definitional = self._setters
+        set_cotree(self, cotree)
+        set_node(self, node)
+        set_path(self, path)
+        set_p_original(self, p_original)
+        set_definitional(self, definitional)
 
     def __str__(self) -> str:
         return (
@@ -96,23 +105,32 @@ class _Verdicts:
         self.gamma_s_is_one, self.gamma_s = {}, {}  # root id -> verdict
 
 
-@dataclass
-class VerificationReport:
-    corpus: str
-    instances: int = 0
-    joins_checked: int = 0
-    unions_checked: int = 0
-    graphs_checked: int = 0
-    mismatches: list[Mismatch] = field(default_factory=list)
-    original_lemma_disagreements: list[OriginalLemmaFinding] = field(
-        default_factory=list
+class VerificationReport(_Record):
+    """A run's counts and results; mutable and unhashable.  The private
+    slots (the verdicts, nodes compared and trees given the γ_s check) are
+    left out of ``==`` and ``repr``."""
+
+    __slots__ = (
+        "corpus", "instances", "joins_checked", "unions_checked", "graphs_checked",
+        "mismatches", "original_lemma_disagreements", "elapsed_ms",
+        "_verdicts", "_nodes", "_deep_trees",
     )
-    elapsed_ms: float = 0.0
-    _verdicts: _Verdicts = field(
-        default_factory=_Verdicts, init=False, repr=False, compare=False
-    )
-    _nodes: int = field(default=0, init=False, repr=False, compare=False)
-    _deep_trees: int = field(default=0, init=False, repr=False, compare=False)
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, corpus: str, instances: int = 0, joins_checked: int = 0,
+        unions_checked: int = 0, graphs_checked: int = 0,
+        mismatches: list[Mismatch] | None = None,
+        original_lemma_disagreements: list[OriginalLemmaFinding] | None = None,
+        elapsed_ms: float = 0.0,
+    ):
+        self.corpus, self.instances, self.elapsed_ms = corpus, instances, elapsed_ms
+        self.joins_checked, self.unions_checked = joins_checked, unions_checked
+        self.graphs_checked = graphs_checked
+        self.mismatches = [] if mismatches is None else mismatches
+        findings = original_lemma_disagreements
+        self.original_lemma_disagreements = [] if findings is None else findings
+        self._verdicts, self._nodes, self._deep_trees = _Verdicts(), 0, 0
 
     @property
     def ok(self) -> bool:
@@ -332,16 +350,9 @@ def report_json(report: VerificationReport) -> dict:
     the one field that never is.  The text report carries the timing.
     """
     return {
-        "corpus": report.corpus,
-        "instances": report.instances,
-        "joins_checked": report.joins_checked,
-        "unions_checked": report.unions_checked,
-        "graphs_checked": report.graphs_checked,
-        # the dataclass fields, in order, are the JSON keys
-        "mismatches": [asdict(m) for m in report.mismatches],
-        "original_lemma_disagreements": [
-            asdict(f) for f in report.original_lemma_disagreements
-        ],
+        **report._asdict(),  # the record fields, in order, are the JSON keys
+        "mismatches": [m._asdict() for m in report.mismatches],
+        "original_lemma_disagreements": [f._asdict() for f in report.original_lemma_disagreements],
         "elapsed_ms": None,
         "ok": report.ok,
     }

@@ -425,9 +425,13 @@ def test_bench_rejects_repeats_below_one_before_any_output(capsys, repeats):
 # must not load them: every module a command imports is compiled at start
 # when no bytecode cache is written.
 DEFERRED_MODULES = ("cosec.verify", "cosec.oracles", "cosec.generators", "json", "statistics")
+# Modules no command needs: ``dataclasses`` alone pulls in ``inspect``,
+# ``ast``, ``dis`` and ``tokenize``.
+NEVER_LOADED = ("dataclasses", "inspect")
 
 # ``python -m cosec ARGS``, run in-process by runpy, then one stderr line
-# naming the DEFERRED_MODULES that were not loaded before cosec ran.
+# naming the DEFERRED_MODULES and NEVER_LOADED that were not loaded before
+# cosec ran.
 _RUN_AND_LIST = f"""
 import runpy, sys
 before = set(sys.modules)
@@ -436,7 +440,7 @@ try:
     runpy.run_module("cosec", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-loaded = [m for m in {DEFERRED_MODULES!r} if m in sys.modules and m not in before]
+loaded = [m for m in {DEFERRED_MODULES + NEVER_LOADED!r} if m in sys.modules and m not in before]
 print("loaded:", *loaded, file=sys.stderr)
 sys.exit(code)
 """
@@ -492,6 +496,7 @@ def test_commands_that_need_a_deferred_module_load_it_and_run(g1_file, argv, nee
     rc, out, loaded = _loaded_by(*(a.format(file=g1_file) for a in argv))
     assert rc == 0 and out
     assert set(needed) <= set(loaded)
+    assert not set(NEVER_LOADED) & set(loaded)
 
 
 @pytest.mark.parametrize(

@@ -506,3 +506,52 @@ def test_label_r_is_checked_where_the_pass_and_the_structural_rule_agree(
         Mismatch("label_r_structural", text, 0, "root", False, True),
         Mismatch("label_r", text, 0, "root", False, True),
     ]
+
+
+_FAULTY_REPORT_JSON = """\
+{
+  "corpus": "one tree",
+  "instances": 1,
+  "joins_checked": 1,
+  "unions_checked": 2,
+  "graphs_checked": 1,
+  "mismatches": [
+    {
+      "predicate": "gamma_s_lower_bound",
+      "cotree": "(J (U c d e) (U a1 b))",
+      "node": 0,
+      "path": "root",
+      "expected": ">= 2",
+      "got": "less"
+    },
+    {
+      "predicate": "is_clique",
+      "cotree": "(J (U c d e) (U a1 b))",
+      "node": 1,
+      "path": "root.0",
+      "expected": false,
+      "got": true
+    }
+  ],
+  "original_lemma_disagreements": [
+    {
+      "cotree": "(J (U c d e) (U a1 b))",
+      "node": 0,
+      "path": "root",
+      "p_original": false,
+      "definitional": true
+    }
+  ],
+  "elapsed_ms": null,
+  "ok": false
+}"""
+
+
+def test_report_json_of_mismatches_and_a_finding_keeps_its_bytes(monkeypatch):
+    import cosec.verify
+
+    monkeypatch.setattr(cosec.verify, "annotate", _faulty_columns("is_clique", 1, True))
+    monkeypatch.setattr(cosec.verify, "secure_domination_number", lambda g, budget: 1)
+    report = VerificationReport(corpus="one tree")
+    check_tree(parse_cotree("(J (U c d e) (U a1 b))"), report, OracleBudget())
+    assert json.dumps(report_json(report), indent=2) == _FAULTY_REPORT_JSON
