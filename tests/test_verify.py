@@ -457,10 +457,19 @@ def _faulty_columns(column, node, value):
             "(U a b c)", "label_r_structural_graph", lambda g: True,
             "label_r_structural", 0, "root", False, True,
         ),
+        (
+            "(J (U c d e) (U a1 b))", "annotate", _faulty_columns("p_corrected", 0, False),
+            "p_corrected", 0, "root", True, False,
+        ),
+        (
+            "(U (J a b) c)", "annotate", _faulty_columns("gamma", 0, 3),
+            "gamma", 0, "root", 2, 3,
+        ),
     ],
     ids=[
         "gamma_s_is_one", "gamma_s", "p_original", "is_clique", "label_r",
-        "label_r_structural", "label_r_structural_three_children",
+        "label_r_structural", "label_r_structural_three_children", "p_corrected",
+        "gamma",
     ],
 )
 def test_each_injected_fault_is_reported_by_its_own_predicate(
@@ -505,6 +514,63 @@ def test_label_r_is_checked_where_the_pass_and_the_structural_rule_agree(
     assert report.mismatches == [
         Mismatch("label_r_structural", text, 0, "root", False, True),
         Mismatch("label_r", text, 0, "root", False, True),
+    ]
+
+
+_G1 = "(J (U c d e) (U a1 b))"
+
+
+@pytest.mark.parametrize(
+    "node, faults, expected",
+    [
+        (
+            0,
+            {"gamma": 3, "p_corrected": False, "is_clique": True},
+            [
+                ("gamma_s_is_one_iff_complete", 0, "root", False, True),
+                ("gamma", 0, "root", 2, 3),
+                ("p_corrected", 0, "root", True, False),
+                ("is_clique", 0, "root", False, True),
+            ],
+        ),
+        (
+            5,
+            {"gamma": 3, "label_r": False, "is_clique": True},
+            [
+                ("gamma_s_is_one_iff_complete", 0, "root", False, True),
+                ("gamma", 5, "root.1", 2, 3),
+                ("label_r", 5, "root.1", True, False),
+                ("is_clique", 5, "root.1", False, True),
+            ],
+        ),
+    ],
+    ids=["join", "union"],
+)
+def test_faults_at_one_node_and_the_root_are_reported_in_order(
+    monkeypatch, capsys, tmp_path, node, faults, expected
+):
+    import cosec.verify
+    from cosec.cli import main
+
+    real = cosec.verify.annotate
+
+    def faulty(t):
+        at = real(t)
+        for column, value in faults.items():
+            getattr(at, column)[node] = value
+        return at
+
+    monkeypatch.setattr(cosec.verify, "annotate", faulty)
+    monkeypatch.setattr(cosec.verify, "gamma_s_is_one", lambda g: True)
+    report = VerificationReport(corpus="one tree")
+    check_tree(parse_cotree(_G1), report, OracleBudget())
+    assert report.mismatches == [Mismatch(p, _G1, *rest) for p, *rest in expected]
+    p = tmp_path / "g1.cotree"
+    p.write_text(_G1 + "\n")
+    assert main(["annotate", str(p), "--oracle-check"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"MISMATCH {predicate} at {path}: oracle {want}, pass {got}"
+        for predicate, _, path, want, got in expected
     ]
 
 
