@@ -12,17 +12,19 @@ Two kinds of outcome are deliberately kept apart:
 
 The full γ_s oracle is the one expensive check: it bounds γ_s ≥ γ on the
 whole graph of trees with at most 8 leaves.  Every other check runs on every
-node of every instance: γ, the clique flag, 𝒫 at joins and label ℛ at
-unions, both definitionally and structurally.
+node of every instance and covers every ``annotate`` column: size, γ and the
+clique flag; 𝒫 and ``p_original`` at joins; label ℛ, definitionally and
+structurally, and the union-of-two-cliques flag at unions.  A fact is None
+where it does not apply, so a value the pass puts there is a mismatch.
 
 No tree's graph is built.  Each node's graph gets an id, interned by its
 kind and its children's ids (``_graph_ids``); a new id's adjacency rows are
 built from theirs.  In a normalized cotree each child holds a contiguous run
 of vertices, so key and rows determine each other: each distinct graph is
-built and evaluated once per run.  Only a tree whose annotation and verdicts
-differ in some column is walked node by node, and only then are its text
-and node paths built.  ``check_tree`` is the one cross-check path, also run
-by ``cosec annotate --oracle-check``.
+built and evaluated once per run.  A tree is walked node by node, and its
+text and node paths built, only when some node's rows differ or a join holds
+a finding.  ``check_tree`` is the one cross-check path, also run by ``cosec
+annotate --oracle-check``.
 """
 
 from __future__ import annotations
@@ -98,8 +100,7 @@ class _Verdicts:
     def __init__(self):
         self.ids = {}  # (kind, *child graph ids) -> graph id
         self.rows = []  # adjacency rows
-        self.facts = []  # (γ, clique flag, 𝒫, structural ℛ, definitional ℛ)
-        self.shared = {}  # fact tuple -> itself: equal ones are stored once
+        self.facts = []  # per id: the tuple described in check_tree
         self.pending = set()  # two-child union ids with no definitional ℛ yet
         self.label_r = 0  # definitional ℛ evaluations
         self.gamma_s_is_one, self.gamma_s = {}, {}  # root id -> verdict
@@ -181,32 +182,38 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     refuses first, then label ℛ in ascending node order.  A refused tree
     adds nothing to the report.  Verdicts are keyed by graph id alone: one
     report, one budget.
+
+    A graph's facts are (size, γ, clique flag, union of two cliques, 𝒫,
+    structural ℛ, definitional ℛ), None where they do not apply.  A node's
+    rows ``(predicate, expected, got)`` set them against its annotation.
+    The tree is walked only when a row differs or a finding exists: the zip
+    of whole columns compares the same columns as the rows.
     """
     n = t.n_leaves()
     budget.admit("domination_number", n)  # the largest graph: before building any
     at = annotate(t)
     known = report._verdicts
     rows, facts, pending = known.rows, known.facts, known.pending
-    share = known.shared.setdefault  # one tuple per distinct fact tuple
 
     def first_sight(key, graph_rows):
         kind, g = key[0], Graph(len(graph_rows), (), graph_rows)
-        fact = (
-            domination_number(g, budget), is_complete(g),
+        union, two = kind == UNION, len(key) == 3
+        facts.append((
+            g.n, domination_number(g, budget), is_complete(g),
+            two and facts[key[1]][2] and facts[key[2]][2] if union else None,  # clique pair
             property_p_definitional_graph(g) if kind == JOIN else None,
-            label_r_structural_graph(g) if kind == UNION else None,
-            False if kind == UNION else None,  # definitional ℛ needs two children
-        )
-        if kind == UNION and len(key) == 3:  # two children: ℛ after the root checks
+            label_r_structural_graph(g) if union else None,
+            False if union else None,  # definitional ℛ needs two children
+        ))
+        if union and two:  # two children: ℛ after the root checks
             pending.add(len(rows))
-        facts.append(share(fact, fact))
 
     def graph(i):  # no oracle reads labels
         return Graph(len(rows[i]), (), rows[i])
 
     ids = _graph_ids(t, known.ids, rows, first_sight)
     root = ids[t.root]
-    gamma, complete = facts[root][:2]
+    gamma, complete = facts[root][1:3]
     at_root = []  # (predicate, expected, got) per mismatch at the root
     # γ_s = 1 ⟺ complete, via the definitional singleton scan
     if root not in known.gamma_s_is_one:
@@ -223,8 +230,7 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
         for v, i in enumerate(ids):
             if i in pending:
                 a, b = (graph(ids[c]) for c in t.children[v])
-                fact = *facts[i][:4], label_r_definitional_graphs(a, b, budget)
-                facts[i] = share(fact, fact)
+                facts[i] = *facts[i][:-1], label_r_definitional_graphs(a, b, budget)
                 pending.discard(i)
                 known.label_r += 1
 
@@ -234,48 +240,39 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     report._deep_trees += deep
     report.joins_checked += t.kinds.count(JOIN)
     report.unions_checked += t.kinds.count(UNION)
-    if (  # whole columns: every node against its graph's facts
-        not at_root
-        and at.p_original == at.p_corrected
-        and list(map(facts.__getitem__, ids))
-        == list(zip(at.gamma, at.is_clique, at.p_corrected, at.label_r, at.label_r))
-    ):
+    node_facts = list(map(facts.__getitem__, ids))
+    columns = list(zip(at.size, at.gamma, at.is_clique, at.union_of_two_cliques,
+                       at.p_corrected, at.label_r, at.label_r))  # in the facts' order
+    if not at_root and at.p_original == at.p_corrected and node_facts == columns:
         return  # no mismatch and no finding
-    shown = None  # (text, paths): built at the first mismatch or finding
-
-    def where(node):
-        nonlocal shown
-        if shown is None:
-            shown = to_text(t), node_paths(t)
-        text, paths = shown
-        return text, node, paths[node]
+    text, paths = to_text(t), node_paths(t)  # the walk reports at least one
 
     def mismatch(predicate, node, expected, got):
-        report.mismatches.append(Mismatch(predicate, *where(node), expected, got))
+        report.mismatches.append(Mismatch(predicate, text, node, paths[node], expected, got))
 
     for predicate, expected, got in at_root:
         mismatch(predicate, t.root, expected, got)
-    for v, i in enumerate(ids):
-        gamma, complete, p_defn, r_struct, defn = facts[i]
-        if gamma != at.gamma[v]:
-            mismatch("gamma", v, gamma, at.gamma[v])
-        kind = t.kinds[v]
-        if kind == JOIN:
-            if at.p_corrected[v] != p_defn:  # 𝒫, definitionally
-                mismatch("p_corrected", v, p_defn, at.p_corrected[v])
-            if at.p_original[v] and not at.p_corrected[v]:
-                mismatch("p_original_implies_corrected", v, True, False)
-            if at.p_original[v] != p_defn:
-                report.original_lemma_disagreements.append(
-                    OriginalLemmaFinding(*where(v), at.p_original[v], p_defn)
-                )
-        elif kind == UNION:
-            if defn != r_struct:  # ℛ, structurally
-                mismatch("label_r_structural", v, defn, r_struct)
-            if defn != at.label_r[v]:
-                mismatch("label_r", v, defn, at.label_r[v])
-        if at.is_clique[v] != complete:
-            mismatch("is_clique", v, complete, at.is_clique[v])
+    for v, (fact, column, p_orig) in enumerate(zip(node_facts, columns, at.p_original)):
+        p_corr = at.p_corrected[v]
+        if fact == column and p_orig == p_corr:
+            continue  # every row agrees, and p_original is no finding
+        size, gamma, complete, two_cliques, p_defn, r_struct, defn = fact
+        for predicate, expected, got in (
+            ("size", size, at.size[v]),
+            ("gamma", gamma, at.gamma[v]),
+            ("p_corrected", p_defn, p_corr),  # 𝒫, definitionally
+            ("p_original_implies_corrected", True, not p_orig or bool(p_corr)),
+            ("p_original", None if p_defn is None else p_orig, p_orig),  # joins: below
+            ("label_r_structural", defn, r_struct),  # ℛ, structurally
+            ("label_r", defn, at.label_r[v]),
+            ("union_of_two_cliques", two_cliques, at.union_of_two_cliques[v]),
+            ("is_clique", complete, at.is_clique[v]),
+        ):
+            if expected != got:
+                mismatch(predicate, v, expected, got)
+        if p_defn is not None and p_orig != p_defn:  # joins only
+            finding = OriginalLemmaFinding(text, v, paths[v], p_orig, p_defn)
+            report.original_lemma_disagreements.append(finding)
 
 
 def verify_corpora(
@@ -311,8 +308,8 @@ def verify_corpora(
 
 def report_text(report: VerificationReport) -> str:
     known = report._verdicts
-    joins = sum(fact[2] is not None for fact in known.facts)
-    unions = sum(fact[3] is not None for fact in known.facts)
+    joins = sum(fact[4] is not None for fact in known.facts)
+    unions = sum(fact[5] is not None for fact in known.facts)
     lines = [
         f"corpus: {report.corpus}",
         f"instances checked: {report.instances}",

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from cosec.annotate import NodeAnnotations
 from cosec.cotree import (
     JOIN,
     UNION,
@@ -465,11 +466,19 @@ def _faulty_columns(column, node, value):
             "(U (J a b) c)", "annotate", _faulty_columns("gamma", 0, 3),
             "gamma", 0, "root", 2, 3,
         ),
+        (
+            "(U (J a b) c)", "annotate", _faulty_columns("size", 1, 3),
+            "size", 1, "root.0", 2, 3,
+        ),
+        (
+            "(U (J a b) c)", "annotate", _faulty_columns("union_of_two_cliques", 0, False),
+            "union_of_two_cliques", 0, "root", True, False,
+        ),
     ],
     ids=[
         "gamma_s_is_one", "gamma_s", "p_original", "is_clique", "label_r",
         "label_r_structural", "label_r_structural_three_children", "p_corrected",
-        "gamma",
+        "gamma", "size", "union_of_two_cliques",
     ],
 )
 def test_each_injected_fault_is_reported_by_its_own_predicate(
@@ -572,6 +581,39 @@ def test_faults_at_one_node_and_the_root_are_reported_in_order(
         f"MISMATCH {predicate} at {path}: oracle {want}, pass {got}"
         for predicate, _, path, want, got in expected
     ]
+
+
+@st.composite
+def _one_entry_faults(draw):
+    """A normalized cotree, one annotate column, one node and a value."""
+    t = draw(normalized_cotrees())
+    column = draw(st.sampled_from(NodeAnnotations._fields))
+    node = draw(st.integers(0, len(t) - 1))
+    value = draw(st.sampled_from([None, True, False, 0, 1, 2, t.n_leaves() + 1]))
+    return t, column, node, value
+
+
+@given(_one_entry_faults())
+@example((parse_cotree("(J (U a b) c)"), "label_r", 0, True))
+@example((parse_cotree("(J (U a b) c)"), "label_r", 4, False))
+@example((parse_cotree("(U (J a b) c)"), "p_corrected", 0, False))
+@example((parse_cotree("(U (J a b) c)"), "p_original", 0, True))
+@settings(deadline=None, max_examples=200)
+def test_an_entry_changes_the_report_exactly_when_its_value_does(fault):
+    import cosec.verify
+
+    t, column, node, value = fault
+    clean = VerificationReport(corpus="one tree")
+    check_tree(t, clean, OracleBudget())
+    old = getattr(cosec.verify.annotate(t), column)[node]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cosec.verify, "annotate", _faulty_columns(column, node, value))
+        report = VerificationReport(corpus="one tree")
+        check_tree(t, report, OracleBudget())
+    outcome = report.mismatches, report.original_lemma_disagreements
+    assert (outcome != (clean.mismatches, clean.original_lemma_disagreements)) == (
+        value != old
+    )
 
 
 _FAULTY_REPORT_JSON = """\
