@@ -18,10 +18,11 @@ structurally, and the union-of-two-cliques flag at unions.  A fact is None
 where it does not apply, so a value the pass puts there is a mismatch.
 
 No tree's graph is built.  Each node's graph gets an id, interned by its
-kind and its children's ids (``_graph_ids``); a new id's adjacency rows are
-built from theirs.  In a normalized cotree each child holds a contiguous run
-of vertices, so key and rows determine each other: each distinct graph is
-built and evaluated once per run.  A tree is walked node by node, and its
+kind and its children's sorted ids (``_graph_ids``): one id per cograph up to
+isomorphism, as a normalized cotree fixes its cograph up to child order.  A
+new id's rows are built from its children's, laid out like its first node's.
+Every fact checked is an isomorphism invariant, so each cograph is built and
+evaluated once per run.  A tree is walked node by node, and its
 text and node paths built, only when some node's rows differ or a join holds
 a finding.  ``check_tree`` is the one cross-check path, also run by ``cosec
 annotate --oracle-check``.
@@ -94,12 +95,12 @@ class OriginalLemmaFinding(_Record):
 
 
 class _Verdicts:
-    """A run's node graphs, one id per distinct graph, and the verdicts on
-    them by id.  A verdict is stored once it is in, so no refusal is."""
+    """A run's node graphs, one id per cograph up to isomorphism, and the
+    verdicts on them by id.  A verdict is stored once in, so no refusal is."""
 
     def __init__(self):
-        self.ids = {}  # (kind, *child graph ids) -> graph id
-        self.rows = []  # adjacency rows
+        self.ids = {}  # (kind, *sorted child graph ids) -> graph id
+        self.rows = []  # adjacency rows, laid out as each id's first node
         self.facts = []  # per id: the tuple described in check_tree
         self.pending = set()  # two-child union ids with no definitional ℛ yet
         self.label_r = 0  # definitional ℛ evaluations
@@ -140,9 +141,10 @@ class VerificationReport(_Record):
 
 def _graph_ids(t: Cotree, ids: dict, rows: list, first_sight) -> list[int]:
     """Per node of t, its graph id: an index of ``rows``, the graphs'
-    adjacency rows, interned in ``ids`` by ``(kind, *child graph ids)``.  A
-    leaf is id 0.  ``first_sight(key, rows)`` runs before a new id is stored.
-    """
+    adjacency rows, interned in ``ids`` by ``(kind, *sorted child graph
+    ids)``, one id per cograph up to isomorphism, its rows laid out as its
+    first node's.  A leaf is id 0.  ``first_sight(key, rows)`` runs before
+    a new id is stored."""
     if not rows:  # the one-vertex graph
         first_sight((LEAF,), (0,))
         rows.append((0,))
@@ -150,10 +152,11 @@ def _graph_ids(t: Cotree, ids: dict, rows: list, first_sight) -> list[int]:
     node_ids = [0] * len(t)
     for v in range(len(t) - 1, -1, -1):  # children before parents
         if children[v]:
-            key = kinds[v], *map(node_ids.__getitem__, children[v])
+            child_ids = [*map(node_ids.__getitem__, children[v])]
+            key = kinds[v], *sorted(child_ids)
             i = ids.get(key)
-            if i is None:
-                graph_rows = _combined_rows(kinds[v], [rows[c] for c in key[1:]])
+            if i is None:  # laid out in tree order, like this first node
+                graph_rows = _combined_rows(kinds[v], [rows[c] for c in child_ids])
                 first_sight(key, graph_rows)
                 i = ids[key] = len(rows)
                 rows.append(graph_rows)
@@ -180,8 +183,9 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     no verdict for.  A tree above the domination cap is refused before any
     graph is built; below it no γ call can refuse, so the root's γ_s check
     refuses first, then label ℛ in ascending node order.  A refused tree
-    adds nothing to the report.  Verdicts are keyed by graph id alone: one
-    report, one budget.
+    adds no count, mismatch or finding, but the verdicts first seen in it
+    stay in ``_verdicts``.  Verdicts are keyed by graph id alone: one report,
+    one budget.
 
     A graph's facts are (size, γ, clique flag, union of two cliques, 𝒫,
     structural ℛ, definitional ℛ), None where they do not apply.  A node's

@@ -1,14 +1,16 @@
 """Shared test-side oracles, which must stay independent of the package
-logic, the order-insensitive tree keys the tests compare by, the outcome of
-a call that may refuse, and the child-process environment for the CLI
-tests."""
+logic, the order-insensitive tree keys the tests compare by and the
+child-reordered copies they are tested on, the outcome of a call that may
+refuse, and the child-process environment for the CLI tests."""
 
 import os
 from itertools import combinations, groupby
 from pathlib import Path
 
 import cosec
-from cosec.cotree import JOIN, UNION, Cotree, Graph, _subtree_end, iter_set_bits
+from cosec.cotree import (
+    JOIN, LEAF, UNION, Cotree, Graph, _subtree_end, from_nested, iter_set_bits,
+)
 from cosec.errors import BudgetExceededError, NotAJoinError
 
 
@@ -72,6 +74,27 @@ def _key(t: Cotree, root: int, with_labels: bool) -> tuple:
         code.update((v, rank[sig]) for v, sig in sigs.items())
         key.append(tuple(level))
     return tuple(key)
+
+
+def reordered_children(t: Cotree, reorder) -> Cotree:
+    """t with each inner node's child list permuted in place by ``reorder``
+    (``random.Random(seed).shuffle``, ``list.reverse``): the same tree up to
+    child order, so the same cograph."""
+    order = []
+    stack = [t.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(t.children[v])
+    nested = {}
+    for v in reversed(order):
+        if t.kinds[v] == LEAF:
+            nested[v] = t.labels[v]
+        else:
+            kids = [nested[c] for c in t.children[v]]
+            reorder(kids)
+            nested[v] = (t.kinds[v], kids)
+    return from_nested(nested[t.root])
 
 
 def reference_paths(t: Cotree):

@@ -38,6 +38,7 @@ from helpers import (
     canonical_key,
     deep_unnormalized_caterpillar,
     reference_paths,
+    reordered_children,
     shape_key,
 )
 from strategies import cotrees, deep_caterpillars, normalized_cotrees
@@ -506,29 +507,11 @@ def test_node_paths_of_a_deep_caterpillar_stream_in_o_depth_memory():
     assert peak < total // 100
 
 
-def _shuffled_children(t: Cotree, seed: int) -> Cotree:
-    rng = random.Random(seed)
-    order = []
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(t.children[v])
-    nested = {}
-    for v in reversed(order):
-        if t.kinds[v] == LEAF:
-            nested[v] = t.labels[v]
-        else:
-            kids = [nested[c] for c in t.children[v]]
-            rng.shuffle(kids)
-            nested[v] = (t.kinds[v], kids)
-    return from_nested(nested[t.root])
-
-
 @given(cotrees(), st.integers(0, 2**32))
 @settings(deadline=None)
 def test_canonical_key_ignores_child_order(t, seed):
-    assert canonical_key(_shuffled_children(t, seed)) == canonical_key(t)
+    shuffled = reordered_children(t, random.Random(seed).shuffle)
+    assert canonical_key(shuffled) == canonical_key(t)
 
 
 def _nested_key(t: Cotree, root: int, with_labels: bool):
@@ -545,7 +528,8 @@ def _nested_key(t: Cotree, root: int, with_labels: bool):
 @given(cotrees(), cotrees(), st.integers(0, 2**32))
 @settings(deadline=None)
 def test_keys_are_equal_exactly_when_the_nested_keys_are(t1, t2, seed):
-    trees = (t1, normalize(t1), _shuffled_children(t1, seed), t2, normalize(t2))
+    shuffled = reordered_children(t1, random.Random(seed).shuffle)
+    trees = (t1, normalize(t1), shuffled, t2, normalize(t2))
     nodes = [(t, v) for t in trees for v in range(len(t))]
     for key, with_labels in ((canonical_key, True), (shape_key, False)):
         new = [key(t, v) for t, v in nodes]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from cosec.cotree import (
     Graph,
     leaf,
     materialize,
-    normalize,
     parse_cotree,
     subtree,
     to_text,
@@ -31,7 +31,7 @@ from cosec.verify import (
     verify_corpora,
 )
 
-from helpers import shape_key
+from helpers import reordered_children, shape_key
 from strategies import cotrees, normalized_cotrees
 
 
@@ -286,23 +286,17 @@ def test_gamma_oracle_runs_once_per_distinct_node_graph(monkeypatch):
 def test_each_predicate_line_counts_the_distinct_graphs_it_asked_about():
     report = verify_corpora(max_n=7, random_count=300, random_leaves=14, seed=5)
     trees = [*enumerate_cotrees(7), *random_corpus(300, 14, 5)]
-    rows = [[materialize(subtree(t, v)).adj for v in range(len(t))] for t in trees]
-    nodes = [(t, v, rows[k][v]) for k, t in enumerate(trees) for v in range(len(t))]
-    joins = [r for t, v, r in nodes if t.kinds[v] == JOIN]
-    unions = [r for t, v, r in nodes if t.kinds[v] == UNION]
-    pairs = [
-        tuple(rows[k][c] for c in t.children[v])
-        for k, t in enumerate(trees)
-        for v in range(len(t))
-        if t.kinds[v] == UNION and len(t.children[v]) == 2
-    ]
-    roots = [r[t.root] for t, r in zip(trees, rows)]
-    deep = [r[t.root] for t, r in zip(trees, rows) if t.n_leaves() <= 8]
-    expected = [
-        ("gamma, is_clique", len(nodes), len({r for _, _, r in nodes})),
+    nodes = [(t, v, shape_key(t, v)) for t in trees for v in range(len(t))]
+    joins = [k for t, v, k in nodes if t.kinds[v] == JOIN]
+    unions = [k for t, v, k in nodes if t.kinds[v] == UNION]
+    two_child = [k for t, v, k in nodes if t.kinds[v] == UNION and len(t.children[v]) == 2]
+    roots = [shape_key(t) for t in trees]
+    deep = [shape_key(t) for t in trees if t.n_leaves() <= 8]
+    expected = [  # graphs up to isomorphism: one oracle run per cograph
+        ("gamma, is_clique", len(nodes), len({k for _, _, k in nodes})),
         ("p_corrected", len(joins), len(set(joins))),
         ("label_r_structural", len(unions), len(set(unions))),
-        ("label_r", len(unions), len(set(pairs))),
+        ("label_r", len(unions), len(set(two_child))),
         ("gamma_s_is_one", len(trees), len(set(roots))),
         ("gamma_s", len(deep), len(set(deep))),
     ]
@@ -336,21 +330,52 @@ def test_interned_rows_are_the_subtree_graphs(trees):
     per_tree = [_graph_ids(t, ids, rows, first_sight) for t in trees]
     assert [(graph_rows, i) for _, graph_rows, i in seen] == list(zip(rows, range(len(rows))))
     assert {key: i for key, _, i in seen[1:]} == ids  # id 0, the leaf's, has no key
+    first, shapes = {}, set()
     for t, graph_ids in zip(trees, per_tree):
         assert len(graph_ids) == len(t)
-        for v, i in enumerate(graph_ids):
-            sub = subtree(t, v)
-            labels = tuple(sub.labels[w] for w in sub.leaves())
-            assert Graph(len(rows[i]), labels, rows[i]) == materialize(sub)  # n, labels, adj
-    normalized = [
-        (rows[i], i)
-        for t, graph_ids in zip(trees, per_tree)
-        for v, i in enumerate(graph_ids)
-        if t == normalize(t)
-    ]
-    # one id per distinct graph: equal rows ⟺ equal ids
-    assert len({r for r, _ in normalized}) == len({i for _, i in normalized})
-    assert len(set(normalized)) == len({i for _, i in normalized})
+        for v in reversed(range(len(t))):  # the order _graph_ids hands ids out in
+            first.setdefault(graph_ids[v], (t, v))
+            shapes.add((shape_key(t, v), graph_ids[v]))
+    # one id per graph up to isomorphism: equal shape keys ⟺ equal ids
+    assert len(shapes) == len({k for k, _ in shapes}) == len({i for _, i in shapes})
+    assert sorted(first) == list(range(len(rows)))
+    for i, (t, v) in first.items():  # rows laid out like the first node's graph
+        sub = subtree(t, v)
+        labels = tuple(sub.labels[w] for w in sub.leaves())
+        assert Graph(len(rows[i]), labels, rows[i]) == materialize(sub)  # n, labels, adj
+
+
+@pytest.mark.parametrize("n, cographs", [(5, 41), (6, 107), (7, 287), (8, 809)])
+def test_one_graph_id_per_cograph(n, cographs):
+    # Σ A000084(1..n): the cographs on 1..n vertices, one exhaustive tree each
+    report = verify_corpora(max_n=n)
+    known = report._verdicts
+    assert len(known.rows) == cographs == report.instances
+    counts = len(known.rows), len(known.gamma_s), len(known.gamma_s_is_one), known.label_r
+
+    def no_new_id(key, graph_rows):
+        raise AssertionError(f"new graph id for {key}")
+
+    for t in random_corpus(500, n, n):  # relabelled copies of decided graphs
+        check_tree(t, report, OracleBudget())
+        flipped = reordered_children(t, list.reverse)
+        root_ids = (
+            _graph_ids(tree, known.ids, known.rows, no_new_id)[tree.root]
+            for tree in (t, flipped)
+        )
+        assert len(set(root_ids)) == 1
+    assert report.ok and report.instances == cographs + 500
+    assert (
+        len(known.rows), len(known.gamma_s), len(known.gamma_s_is_one), known.label_r
+    ) == counts
+
+
+def test_report_json_of_a_mixed_corpus_keeps_its_bytes():
+    report = verify_corpora(max_n=7, random_count=300, random_leaves=14, seed=5)
+    text = json.dumps(report_json(report), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e43f08bbc1c6a8dbea5bb3bc5637c6c5ea501672e3aec22df9278478105678b3"
+    )
 
 
 def test_refusals_come_in_the_documented_order():
@@ -373,7 +398,7 @@ def test_refusals_come_in_the_documented_order():
                     assert n > s and str(exc) == message.format(n, s)
                 else:
                     assert n <= s
-        # a refused tree adds nothing to the report
+        # a refused tree adds no instance to the report
         assert report.instances == sum(t.n_leaves() <= s for t in trees)
         assert report.ok
 
