@@ -257,20 +257,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
-def _median_s(fn, repeats: int) -> float:
-    import statistics
-    import time
-
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def cmd_bench(args) -> int:
     from contextlib import redirect_stdout
+    from statistics import median
+    from timeit import repeat
+
+    def median_s_of(fn) -> float:  # timeit restores the collector state it found
+        return median(repeat(fn, number=1, repeat=args.repeats))
 
     sizes = [int(s) for s in args.sizes.split(",") if s]
     if not sizes or any(s < 1 for s in sizes):
@@ -283,13 +276,13 @@ def cmd_bench(args) -> int:
     )
     for size in sizes:
         t = _cli.random_cotree(_cli.RandomSpec(leaf_count=size, seed=args.seed))
-        median_s = _median_s(lambda: annotate(t), args.repeats)
+        median_s = median_s_of(lambda: annotate(t))
         at = annotate(t)
         with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
-            table_s = _median_s(lambda: _write_table(t, at), args.repeats)
-            json_s = _median_s(lambda: _write_annotations_json(t, at), args.repeats)
+            table_s = median_s_of(lambda: _write_table(t, at))
+            json_s = median_s_of(lambda: _write_annotations_json(t, at))
         text = to_text(t)
-        parse_s = _median_s(lambda: parse_cotree(text), args.repeats)
+        parse_s = median_s_of(lambda: parse_cotree(text))
         per_node = 1e9 / len(t)
         print(
             f"{size:>10}  {len(t):>10}  {median_s * 1000.0:>12.2f}  "

