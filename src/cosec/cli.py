@@ -108,6 +108,12 @@ _CELL = {None: "-", True: "yes", False: "no"}
 _TABLE_HEADER = (
     "id path kind size clique gamma label_r two_cliques p_original p_corrected".split()
 )
+_LEAF_NODE = ("leaf", (), 1, True, 1, None, None, None, None)
+_LEAF_JSON = (
+    ',\n      "kind": "leaf",\n      "children": [],\n      "size": 1,\n      "is_clique": true,'
+    '\n      "gamma": 1,\n      "label_r": null,\n      "union_of_two_cliques": null,'
+    '\n      "p_original": null,\n      "p_corrected": null\n    }'
+)
 
 
 def _write_batched(head: str, parts, sep: str, tail: str, size: int = _BATCH) -> None:
@@ -152,23 +158,31 @@ def _write_tree_json(t) -> None:
 
 
 def _write_annotations_json(t, at) -> None:
-    """``print(json.dumps({"nodes": at.to_json_nodes()}, indent=2))``."""
-    kinds, children, lit, ids = t.kinds, t.children, _JSON_LITERAL, _JsonIds()
+    """``print(json.dumps({"nodes": at.to_json_nodes()}, indent=2))``.  A node
+    whose (kind, children, *facts) is ``==`` to ``_LEAF_NODE`` is its id plus
+    ``_LEAF_JSON``; the others are formatted field by field.  Like the lookups in
+    ``_JSON_LITERAL``, ``==`` trusts the column types: an ``is_clique`` of 1 is True."""
+    lit, ids = _JSON_LITERAL, _JsonIds()
+    records = zip(t.kinds, t.children, *[getattr(at, name) for name in _FACTS])
 
-    def node(v: int) -> str:
-        c = children[v]
-        return (
-            f'    {{\n      "id": {v},\n      "kind": "{kinds[v]}",\n'
-            f'      "children": {ids[len(c)] % c},\n      "size": {at.size[v]},\n'
-            f'      "is_clique": {lit[at.is_clique[v]]},\n      "gamma": {at.gamma[v]},\n'
-            f'      "label_r": {lit[at.label_r[v]]},\n'
-            f'      "union_of_two_cliques": {lit[at.union_of_two_cliques[v]]},\n'
-            f'      "p_original": {lit[at.p_original[v]]},\n'
-            f'      "p_corrected": {lit[at.p_corrected[v]]}\n    }}'
-        )
+    def nodes():
+        for v, record in enumerate(records):
+            if record == _LEAF_NODE:
+                yield f'    {{\n      "id": {v}{_LEAF_JSON}'
+                continue
+            kind, c, size, clique, gamma, label_r, two_cliques, p_orig, p_corr = record
+            yield (
+                f'    {{\n      "id": {v},\n      "kind": "{kind}",\n'
+                f'      "children": {ids[len(c)] % c},\n      "size": {size},\n'
+                f'      "is_clique": {lit[clique]},\n      "gamma": {gamma},\n'
+                f'      "label_r": {lit[label_r]},\n'
+                f'      "union_of_two_cliques": {lit[two_cliques]},\n'
+                f'      "p_original": {lit[p_orig]},\n'
+                f'      "p_corrected": {lit[p_corr]}\n    }}'
+            )
 
     head = '{\n  "nodes": [\n'
-    _write_batched(head, map(node, range(len(t))), ",\n", "\n  ]\n}\n")
+    _write_batched(head, nodes(), ",\n", "\n  ]\n}\n")
 
 
 def _write_table(t, at) -> None:

@@ -494,9 +494,11 @@ def normalize(t: Cotree) -> Cotree:
     Idempotent; the induced graph is unchanged (leaves keep their labels).
     A tree that is already normalized is returned as is.  Otherwise,
     contraction keeps the pre-order of the remaining nodes, so this is one
-    forward pass.  As in the parser, a kept inner node's child list becomes
-    a tuple and is freed once the pass leaves its subtree: on a 500,000-leaf
-    caterpillar the pass peaks at 103 MB in tracemalloc, 130 MB without that.
+    forward pass, in which a leaf, always kept and the anchor of no node,
+    skips the branching test and the child loop.  As in the parser, a kept
+    inner node's child list becomes a tuple and is freed once the pass leaves
+    its subtree: on a 500,000-leaf caterpillar the pass peaks at 103 MB in
+    tracemalloc, 130 MB without that.
     """
     if is_normalized(t):
         return t
@@ -511,23 +513,27 @@ def normalize(t: Cotree) -> Cotree:
     for v in range(len(t)):
         kind = kinds[v]
         anchor = up[v]
-        # kept: leaves, and branching nodes whose kind differs from the anchor's
-        if kind == LEAF or (
-            len(children[v]) >= 2 and (anchor < 0 or out_kinds[anchor] != kind)
-        ):
-            if anchor >= 0:
-                while inside[-1] != anchor:
-                    done = inside.pop()
-                    out_children[done] = tuple(out_children[done])
-                out_children[anchor].append(len(out_kinds))
-            anchor = len(out_kinds)
-            if kind != LEAF:
-                inside.append(anchor)
-            out_kinds.append(kind)
-            out_children.append(() if kind == LEAF else [])
-            out_labels.append(labels[v])
-        for c in children[v]:
-            up[c] = anchor
+        if kind != LEAF:
+            ch = children[v]
+            if len(ch) < 2 or (anchor >= 0 and out_kinds[anchor] == kind):  # contracted
+                for c in ch:
+                    up[c] = anchor
+                continue
+        new = len(out_kinds)  # kept: every leaf and every other inner node
+        if anchor >= 0:
+            while inside[-1] != anchor:
+                done = inside.pop()
+                out_children[done] = tuple(out_children[done])
+            out_children[anchor].append(new)
+        out_kinds.append(kind)
+        out_labels.append(labels[v])
+        if kind == LEAF:  # anchors no node
+            out_children.append(())
+        else:
+            out_children.append([])
+            inside.append(new)
+            for c in ch:
+                up[c] = new
     for done in inside:
         out_children[done] = tuple(out_children[done])
     return Cotree(tuple(out_kinds), tuple(out_children), tuple(out_labels))

@@ -62,3 +62,32 @@ def test_normalize_matches_the_reference_on_a_deep_caterpillar():
     t = parse_cotree(text)
     assert not is_normalized(t)
     assert _check(t).n_leaves() == len(spine) + 1
+
+
+def _tree(*nodes: tuple[str, tuple[int, ...], str | None]) -> Cotree:
+    """A cotree built directly from (kind, children, label) rows, so unary
+    nodes and labelled inner nodes pass without validate()."""
+    kinds, children, labels = zip(*nodes)
+    return Cotree(kinds, children, labels)
+
+
+def test_normalize_makes_a_wrapped_leaf_the_root():
+    # (U (J (U a)))
+    t = _tree(("union", (1,), None), ("join", (2,), None), ("union", (3,), None),
+              ("leaf", (), "a"))
+    assert _check(t) == _tree((LEAF, (), "a"))
+
+
+def test_normalize_closes_a_kept_node_before_a_later_leaf():
+    # (U (U (J a b)) c): the join closes before c joins the root
+    t = _tree(("union", (1, 5), None), ("union", (2,), None), ("join", (3, 4), None),
+              ("leaf", (), "a"), ("leaf", (), "b"), ("leaf", (), "c"))
+    assert _check(t) == _tree(("union", (1, 4), None), ("join", (2, 3), None),
+                              ("leaf", (), "a"), ("leaf", (), "b"), ("leaf", (), "c"))
+
+
+def test_normalize_copies_the_label_of_a_kept_inner_node():
+    # (U (U (J:x a b)) c): a label on an inner node is kept as it is
+    t = _tree(("union", (1, 5), "r"), ("union", (2,), "gone"), ("join", (3, 4), "x"),
+              ("leaf", (), "a"), ("leaf", (), "b"), ("leaf", (), "c"))
+    assert _check(t).labels == ("r", "x", "a", "b", "c")

@@ -12,9 +12,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from cosec.annotate import annotate
-from cosec.cli import _BATCH, _BATCH_CHARS, main
-from cosec.cotree import normalize, parse_cotree, to_json, to_text
+from cosec.annotate import _FACTS, AnnotatedCotree, annotate
+from cosec.cli import _BATCH, _BATCH_CHARS, _write_annotations_json, main
+from cosec.cotree import Cotree, normalize, parse_cotree, to_json, to_text
 from cosec.generators import RandomSpec, random_cotree
 
 from helpers import reference_paths
@@ -119,6 +119,50 @@ def test_writers_match_reference_renderers(tmp_path_factory, t):
 def test_writers_match_references_across_batches(tmp_path, text):
     assert len(normalize(parse_cotree(text))) >= 2 * _BATCH
     assert_writers_match_references(tmp_path / "t.cotree", text)
+
+
+def _assert_json_writer_matches_dumps(at) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _write_annotations_json(at.tree, at)
+    assert out.getvalue() == json.dumps({"nodes": at.to_json_nodes()}, indent=2) + "\n"
+    return out.getvalue()
+
+
+# (U a (J b c)): leaves at ids 1, 3 and 4
+_SMALL = normalize(parse_cotree("(U a (J b c))"))
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [
+        (None, None),  # every leaf has the constant facts
+        ("size", 2),
+        ("is_clique", False),
+        ("gamma", 2),
+        ("label_r", False),
+        ("union_of_two_cliques", False),
+        ("p_original", True),
+        ("p_corrected", False),
+    ],
+)
+def test_json_writer_templates_only_leaves_with_the_leaf_facts(column, value):
+    columns = {name: list(getattr(annotate(_SMALL), name)) for name in _FACTS}
+    if column is not None:
+        columns[column][3] = value
+    at = AnnotatedCotree(_SMALL, **columns)
+    _assert_json_writer_matches_dumps(at)
+
+
+def test_json_writer_templates_no_childless_union():
+    # built directly, so validate() does not refuse the childless union at id 2,
+    # whose facts are a leaf's
+    t = Cotree(("join", "leaf", "union"), ((1, 2), (), ()), (None, "a", None))
+    at = AnnotatedCotree(
+        t, [2, 1, 1], [True, True, True], [1, 1, 1], [None, None, None],
+        [None, None, None], [False, None, None], [False, None, None],
+    )
+    assert '"kind": "union",\n      "children": []' in _assert_json_writer_matches_dumps(at)
 
 
 class _CountingSink(io.TextIOBase):
