@@ -60,10 +60,10 @@ EXIT_BUDGET = 4
 
 
 def _read_source(path: str) -> str:
+    # Strict UTF-8 with every "\r\n" kept as two characters, from stdin as
+    # from a file, so an input gives the same text and errors from either.
     if path == "-":
-        return sys.stdin.read()
-    # newline="" keeps every "\r\n" as two characters, so a parse error
-    # reports the offset it has in the file, as it does for stdin
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 

@@ -96,13 +96,14 @@ class OriginalLemmaFinding(_Record):
 
 class _Verdicts:
     """A run's node graphs, one id per cograph up to isomorphism, and the
-    verdicts on them by id.  A verdict is stored once in, so no refusal is."""
+    verdicts on them by id.  A new id's facts, definitional ℛ included, are
+    formed when it is first seen, children first, and stored only if none
+    refuses."""
 
     def __init__(self):
         self.ids = {}  # (kind, *sorted child graph ids) -> graph id
         self.rows = []  # adjacency rows, laid out as each id's first node
         self.facts = []  # per id: the tuple described in check_tree
-        self.pending = set()  # two-child union ids with no definitional ℛ yet
         self.label_r = 0  # definitional ℛ evaluations
         self.gamma_s_is_one, self.gamma_s = {}, {}  # root id -> verdict
 
@@ -180,12 +181,14 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     """Run every oracle cross-check on one normalized cotree; append results.
 
     Every oracle is called from one place here, on graphs the report holds
-    no verdict for.  A tree above the domination cap is refused before any
-    graph is built; below it no γ call can refuse, so the root's γ_s check
-    refuses first, then label ℛ in ascending node order.  A refused tree
-    adds no count, mismatch or finding, but the verdicts first seen in it
-    stay in ``_verdicts``.  Verdicts are keyed by graph id alone: one report,
-    one budget.
+    no verdict for.  A tree above the domination cap, or one of at most 8
+    leaves above the secure cap, is refused before any graph is built.  So
+    no γ call can refuse, the root's γ_s check of a small tree refuses first,
+    and a larger tree's label ℛ refuses in the order its node graphs are
+    first seen: children before parents.  A refused tree adds no count,
+    mismatch or finding, but the verdicts first seen in it stay in
+    ``_verdicts``.  Verdicts are keyed by graph id alone: one report, one
+    budget.
 
     A graph's facts are (size, γ, clique flag, union of two cliques, 𝒫,
     structural ℛ, definitional ℛ), None where they do not apply.  A node's
@@ -194,10 +197,13 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     of whole columns compares the same columns as the rows.
     """
     n = t.n_leaves()
+    deep = n <= _DEEP_CHECK_MAX_LEAVES
     budget.admit("domination_number", n)  # the largest graph: before building any
+    if deep:  # the root's γ_s would refuse first: so before building any
+        budget.admit("secure_domination_number", n)
     at = annotate(t)
     known = report._verdicts
-    rows, facts, pending = known.rows, known.facts, known.pending
+    rows, facts = known.rows, known.facts
 
     def first_sight(key, graph_rows):
         kind, g = key[0], Graph(len(graph_rows), (), graph_rows)
@@ -207,10 +213,10 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
             two and facts[key[1]][2] and facts[key[2]][2] if union else None,  # clique pair
             property_p_definitional_graph(g) if kind == JOIN else None,
             label_r_structural_graph(g) if union else None,
-            False if union else None,  # definitional ℛ needs two children
+            two and label_r_definitional_graphs(graph(key[1]), graph(key[2]), budget)
+            if union else None,
         ))
-        if union and two:  # two children: ℛ after the root checks
-            pending.add(len(rows))
+        known.label_r += union and two
 
     def graph(i):  # no oracle reads labels
         return Graph(len(rows[i]), (), rows[i])
@@ -224,19 +230,11 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
         known.gamma_s_is_one[root] = gamma_s_is_one(graph(root))
     if known.gamma_s_is_one[root] != complete:
         at_root.append(("gamma_s_is_one_iff_complete", complete, not complete))
-    deep = n <= _DEEP_CHECK_MAX_LEAVES
     if deep:
         if root not in known.gamma_s:
             known.gamma_s[root] = secure_domination_number(graph(root), budget)
         if known.gamma_s[root] < gamma:
             at_root.append(("gamma_s_lower_bound", f">= {gamma}", "less"))
-    if pending and not pending.isdisjoint(ids):
-        for v, i in enumerate(ids):
-            if i in pending:
-                a, b = (graph(ids[c]) for c in t.children[v])
-                facts[i] = *facts[i][:-1], label_r_definitional_graphs(a, b, budget)
-                pending.discard(i)
-                known.label_r += 1
 
     report.instances += 1
     report.graphs_checked += 1

@@ -67,7 +67,7 @@ def test_parse_json_output_is_stable(capsys, g1_file):
 
 
 def test_parse_reads_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO("(J a b)"))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"(J a b)")))
     rc, out, _ = run(capsys, "parse", "-")
     assert rc == 0 and out == "(J a b)\n"
 
@@ -93,6 +93,26 @@ def test_crlf_input_reports_the_same_byte_offset_from_a_file_and_stdin(tmp_path)
         )
         assert proc.returncode == 2
         assert proc.stderr == b"error: syntax error at byte 8: unbalanced ')'\n"
+
+
+def test_undecodable_input_gives_the_same_error_from_a_file_and_stdin(tmp_path):
+    p = tmp_path / "latin1.cotree"
+    p.write_bytes(b"(U a \xff)")
+    for encoding in (None, "latin-1"):  # stdin is UTF-8 whatever the locale says
+        env = cosec_subprocess_env()
+        env.pop("PYTHONIOENCODING", None)
+        if encoding:
+            env["PYTHONIOENCODING"] = encoding
+        for argv, stdin in (([str(p)], None), (["-"], p.read_bytes())):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cosec", "parse", *argv],
+                input=stdin, capture_output=True, timeout=60, env=env,
+            )
+            assert proc.returncode == 2
+            assert proc.stderr == (
+                b"error: 'utf-8' codec can't decode byte 0xff in position 5:"
+                b" invalid start byte\n"
+            )
 
 
 def test_missing_file_exits_1(capsys, tmp_path):

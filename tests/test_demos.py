@@ -66,6 +66,7 @@ def test_readme_annotate_rows_are_the_first_rows_for_g3(capsys, monkeypatch):
     rows = _readme_block("`cosec annotate` prints one row per node:").splitlines()
     assert rows[-1] == "..."
     assert main(["gk", "3"]) == 0
-    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    gk3 = capsys.readouterr().out.encode()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(gk3)))
     assert main(["annotate", "-"]) == 0
     assert capsys.readouterr().out.splitlines()[: len(rows) - 1] == rows[:-1]

@@ -221,22 +221,21 @@ def test_split_whitespace_outside_the_grammar_keeps_its_error(text, offset, mess
 
 
 def test_failing_strings_piped_to_the_cli_exit_2():
-    sample: dict[str, str] = {}  # the first failing string per message
+    sample: dict[str, tuple[str, str]] = {}  # the first failing string per message
     for text in _fuzzed_strings(11, 20_000):
         try:
             parse_cotree(text)
         except CotreeParseError as exc:
-            sample.setdefault(str(exc).split(": ", 1)[1].split("'")[0], text)
+            sample.setdefault(str(exc).split(": ", 1)[1].split("'")[0], (text, str(exc)))
     assert len(sample) == 8  # every message the parser has
-    # The exit code and the kind of message only: the CLI reads its input
-    # with newline translation, so after a "\r\n" its offset is one less.
-    env = cosec_subprocess_env()
-    env["PYTHONIOENCODING"] = "utf-8"
-    for text in sample.values():
+    # The CLI reads stdin as strict UTF-8 with no newline translation, so
+    # its message, offset included, is the one raised in process.
+    for text, message in sample.values():
         proc = subprocess.run(
             [sys.executable, "-m", "cosec", "parse", "-"],
-            input=text.encode("utf-8"), capture_output=True, env=env, timeout=60,
+            input=text.encode("utf-8"), capture_output=True,
+            env=cosec_subprocess_env(), timeout=60,
         )
         assert proc.returncode == 2, repr(text)
         assert proc.stdout == b""
-        assert proc.stderr.startswith(b"error: syntax error at byte "), repr(text)
+        assert proc.stderr == f"error: {message}\n".encode(), repr(text)

@@ -386,6 +386,25 @@ def test_refusals_come_in_the_documented_order():
     with pytest.raises(BudgetExceededError) as exc_info:
         check_tree(t, VerificationReport(corpus="one tree"), OracleBudget(8, 1))
     assert str(exc_info.value) == message.format(4, 1)  # the root's γ_s, not ℛ's
+    # a tree of at most 8 leaves above the secure cap builds no graph first
+    report = VerificationReport(corpus="one tree")
+    with pytest.raises(BudgetExceededError) as exc_info:
+        check_tree(parse_cotree("(J a b c d e)"), report, OracleBudget(8, 3))
+    assert str(exc_info.value) == message.format(5, 3)
+    assert report._verdicts.rows == [] and report.instances == 0
+    # a larger tree's ℛ refuses in first-seen order, children before parents:
+    # the (J c1 .. c5) child, not the 4-vertex (J a1 .. a4) of an earlier node
+    t = parse_cotree(
+        "(J (U (J a1 a2 a3 a4) (J (U b1 b2) b3 b4))"
+        " (U (J c1 c2 c3 c4 c5) (J (U d1 d2) d3 d4 d5)))"
+    )
+    report = VerificationReport(corpus="one tree")
+    for _ in range(2):  # a refused tree refuses again
+        with pytest.raises(BudgetExceededError) as exc_info:
+            check_tree(t, report, OracleBudget(20, 3))
+        assert str(exc_info.value) == message.format(5, 3)
+    check_tree(t, report, OracleBudget())
+    assert report.instances == 1 and report.ok
     trees = list(enumerate_cotrees(8))
     for s in range(1, 8):
         report = VerificationReport(corpus="exhaustive <= 8")
