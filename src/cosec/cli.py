@@ -16,7 +16,12 @@ single integer applied to both caps or ``DOM,SECURE``.  A ``--budget`` flag
 beats the environment.
 
 ``annotate`` (table and ``--json``) and ``parse --json`` stream their output
-in batches of nodes straight from the cotree and annotation arrays.
+in batches of nodes straight from the cotree and annotation arrays.  A table
+row is three cells: the id, the path and the rest, kind to p_corrected; each
+batch of rows is one ``%`` of the row format repeated.  A path cell is the
+node's path (``root.1.0``) when that has at most 64 characters, and
+``^<parent id>.<i>`` otherwise, so a table is O(n) characters on a tree of any
+depth.  Mismatch lines keep the full path.
 ``annotate --oracle-check`` runs ``verify.check_tree``, the cross-check that
 ``verify`` runs on every corpus tree, and prints each mismatch on stderr as
 ``MISMATCH {predicate} at {path}: oracle {expected}, pass {got}``.
@@ -98,11 +103,10 @@ def cmd_parse(args) -> int:
 
 
 # The writers give the bytes of ``json.dumps(..., indent=2)`` and of the padded
-# table, _BATCH nodes per write: none holds its whole output or a string per node.
-# A table row holds its node's path, so on a deep tree a table batch has fewer
-# rows, about _BATCH_CHARS characters' worth.
+# table, _BATCH nodes per write: none holds its whole output or a string per node,
+# bar the table's one rest cell per distinct (kind, size, *facts).  Every table
+# cell is bounded, the path cell by ``cotree._PATH_CELL_MAX``, so a batch is too.
 _BATCH = 4096
-_BATCH_CHARS = 1 << 20
 _JSON_LITERAL = {None: "null", True: "true", False: "false"}
 _CELL = {None: "-", True: "yes", False: "no"}
 _TABLE_HEADER = (
@@ -116,12 +120,12 @@ _LEAF_JSON = (
 )
 
 
-def _write_batched(head: str, parts, sep: str, tail: str, size: int = _BATCH) -> None:
-    """Write ``head + sep.join(parts) + tail`` to stdout, ``size`` parts per write."""
+def _write_batched(head: str, parts, sep: str, tail: str) -> None:
+    """Write ``head + sep.join(parts) + tail`` to stdout, ``_BATCH`` parts per write."""
     write = sys.stdout.write
     write(head)
     lead = ""
-    while batch := list(islice(parts, size)):
+    while batch := list(islice(parts, _BATCH)):
         write(lead)
         write(sep.join(batch))
         lead = sep
@@ -185,9 +189,30 @@ def _write_annotations_json(t, at) -> None:
     _write_batched(head, nodes(), ",\n", "\n  ]\n}\n")
 
 
+class _TableRests(dict):
+    """``rests[key]`` is the table's last cell, kind to p_corrected, of a node
+    whose ``(kind, size, *facts)`` is ``key``: formatted by ``fmt`` at the key's
+    first use and cut of its trailing padding."""
+
+    __slots__ = ("fmt",)
+
+    def __init__(self, fmt: str):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, key: tuple) -> str:
+        kind, size, clique, gamma, *tail = key
+        cell = self[key] = (
+            self.fmt % (kind, size, _CELL[clique], gamma, *map(_CELL.__getitem__, tail))
+        ).rstrip()
+        return cell
+
+
 def _write_table(t, at) -> None:
     """One row per node; each column as wide as its widest cell or header.
-    The columns after ``size`` are formatted once per distinct value tuple."""
+    A row is three cells: the id, the path cell from ``_node_paths`` and the
+    rest.  A batch is one ``%`` of the row format repeated, over a flat list
+    of its rows' cells filled a column at a time."""
     yes_no = max(map(len, _CELL.values()))
     path_width, paths = _node_paths(t)
     widest = (
@@ -200,21 +225,21 @@ def _write_table(t, at) -> None:
         *[yes_no] * 4,
     )
     fmt = [f"%-{max(len(h), w)}s" for h, w in zip(_TABLE_HEADER, widest)]
-    row = "  ".join(fmt[:4]) + "  %s"  # id, path, kind, size, then the tail
-    tail = "  ".join(fmt[4:])
-    cell = _CELL.__getitem__
-    columns = [getattr(at, name) for name in _FACTS[1:]]  # the facts after size
-    tails = {
-        key: (tail % (cell(key[0]), key[1], *map(cell, key[2:]))).rstrip()
-        for key in set(zip(*columns))
-    }
-    rows = zip(
-        range(len(t)), paths, t.kinds, at.size,
-        map(tails.__getitem__, zip(*columns)),
+    rest = "  ".join(fmt[2:])
+    row = "  ".join(fmt[:2]) + "  %s\n"
+    write = sys.stdout.write
+    write(row % (*_TABLE_HEADER[:2], (rest % tuple(_TABLE_HEADER[2:])).rstrip()))
+    rests = map(
+        _TableRests(rest).__getitem__,
+        zip(t.kinds, *[getattr(at, name) for name in _FACTS]),
     )
-    padded = row % (*_TABLE_HEADER[:4], tail % tuple(_TABLE_HEADER[4:]))
-    size = min(_BATCH, max(1, _BATCH_CHARS // len(padded)))
-    _write_batched(padded.rstrip() + "\n", map(row.__mod__, rows), "\n", "\n", size)
+    for lo in range(0, len(t), _BATCH):
+        ids = range(lo, min(lo + _BATCH, len(t)))
+        flat = [None] * (3 * len(ids))
+        flat[0::3] = ids
+        flat[1::3] = islice(paths, len(ids))
+        flat[2::3] = islice(rests, len(ids))
+        write(row * len(ids) % tuple(flat))
 
 
 def cmd_annotate(args) -> int:

@@ -34,6 +34,7 @@ separate pass.  Leaf labels must be unique within one tree.
 
 from __future__ import annotations
 
+import math
 import re
 from itertools import islice
 from operator import length_hint
@@ -66,6 +67,7 @@ _NO_OPERATOR = "expected operator U or J after '('"
 _EMPTY_NODE = "empty node: operator without children"
 
 _CLOSE = object()  # sentinel for the iterative printer
+_PATH_CELL_MAX = 64  # the widest path cell of the annotate table; see _node_paths
 
 
 class _Record:
@@ -613,17 +615,25 @@ def lca_kind(t: Cotree, leaf1: str, leaf2: str) -> str:
 
 def node_paths(t: Cotree) -> tuple[str, ...]:
     """Human-readable child-index path per node, e.g. "root.1.0"."""
-    return tuple(_node_paths(t)[1])
+    return tuple(_node_paths(t, math.inf)[1])
 
 
-def _node_paths(t: Cotree) -> tuple[int, Iterator[str]]:
-    """The longest path's length, and ``node_paths`` one at a time in id order.
+def _node_paths(t: Cotree, cap: float = _PATH_CELL_MAX) -> tuple[int, Iterator[str]]:
+    """The widest path cell's length, and the cells one at a time in id order.
 
-    One forward pass gives each node its path's last component ("root", or
-    "." and its child index) and its path's length.  In pre-order the path
-    before v's begins with v's parent's path, so v's path is that one cut to
-    the parent's length plus v's last component: no join over all components,
-    and O(depth) memory per path rather than O(n·depth) in all."""
+    A node's cell is its ``node_paths`` path when that has at most ``cap``
+    characters, and ``^<parent id>.<i>`` when it is longer: the parent's id and
+    the node's index among its children.  So on a tree of any depth the cells
+    sum to O(n·cap) characters.  The table caps at ``_PATH_CELL_MAX``;
+    ``node_paths`` passes no cap.
+
+    One forward pass gives each node its path's length and last component
+    ("root", or "." and its child index).  Only when some path is longer than
+    ``cap`` does a second pass turn those nodes' last components into their
+    ``^`` cells.  In pre-order the last path within ``cap`` before v's begins
+    with v's parent's path, so v's path is that one cut to the parent's length
+    plus v's last component: no join over all components, and only the
+    current path is held."""
     steps = [(f".{i}", len(f".{i}")) for i in range(max(map(len, t.children)))]
     last = ["root"] * len(t)
     length = [len("root")] * len(t)
@@ -633,11 +643,21 @@ def _node_paths(t: Cotree) -> tuple[int, Iterator[str]]:
             for c, (step, d) in zip(ch, steps):
                 last[c] = step
                 length[c] = n + d
+    widest = max(length)
+    if widest > cap:
+        for v, ch in enumerate(t.children):
+            for c in ch:
+                if length[c] > cap:
+                    last[c] = f"^{v}{last[c]}"
+        widest = max(n if n <= cap else len(s) for s, n in zip(last, length))
 
     def paths() -> Iterator[str]:
         path = ""
         for step, n in zip(last, length):
-            path = path[: n - len(step)] + step
-            yield path
+            if n > cap:
+                yield step
+            else:
+                path = path[: n - len(step)] + step
+                yield path
 
-    return max(length), paths()
+    return widest, paths()

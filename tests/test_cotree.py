@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import tracemalloc
@@ -496,14 +497,14 @@ def test_node_paths_with_multi_digit_child_indices():
 
 def test_node_paths_of_a_deep_caterpillar_stream_in_o_depth_memory():
     t = _caterpillar("x", 20_000)
-    width, paths = _node_paths(t)
+    width, paths = _node_paths(t, math.inf)
     for path, expected in zip(paths, reference_paths(t), strict=True):
         assert path == expected
     assert width == len(path) == len("root") + 2 * (20_000 - 1)
     total = 0
     tracemalloc.start()
     try:
-        for path in _node_paths(t)[1]:
+        for path in _node_paths(t, math.inf)[1]:
             total += len(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

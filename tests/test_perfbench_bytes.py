@@ -24,6 +24,9 @@ EXPECTED = json.loads((PERFBENCH / "expected.json").read_text())
         ("annotate-json-deep", 0, "caterpillar", ["--json"]),
         ("annotate-json-deep", 1, "caterpillar", ["--json"]),
         ("annotate-table", 0, "bushy", []),
+        # the widest path of the 32 bushy variants, 62 characters: the nearest
+        # to the table's 64-character path cell cap
+        ("annotate-table", 7, "bushy", []),
     ],
 )
 def test_annotate_prints_the_recorded_bytes(tmp_path, workload, variant, writer, args):

@@ -1,8 +1,9 @@
 """Byte identity of the streaming writers behind ``cosec annotate`` and
 ``cosec parse --json`` with the reference renderers they replaced: one
 ``json.dumps(..., indent=2)`` of ``to_json``/``to_json_nodes`` and the
-row-list table builder, kept here verbatim, with paths from the test-side
-definition in ``helpers.reference_paths``."""
+row-list table builder, kept here verbatim, with path cells from the
+test-side definition in ``helpers.reference_paths`` and the 64-character cap
+(``reference_cells``)."""
 
 import io
 import json
@@ -10,10 +11,10 @@ from contextlib import redirect_stdout
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from cosec.annotate import _FACTS, AnnotatedCotree, annotate
-from cosec.cli import _BATCH, _BATCH_CHARS, _write_annotations_json, main
+from cosec.cli import _BATCH, _write_annotations_json, main
 from cosec.cotree import Cotree, normalize, parse_cotree, to_json, to_text
 from cosec.generators import RandomSpec, random_cotree
 
@@ -31,9 +32,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CELL_MAX = 64
+# The widest table line with 7-digit ids and sizes: the id, a path cell of at
+# most _CELL_MAX characters, and kind to p_corrected, two spaces apart.
+_LINE_MAX = len("1234567  ") + _CELL_MAX + len(
+    "  union  1234567  clique  1234567  label_r  two_cliques  p_original  p_corrected"
+)
+
+
+def reference_cells(t) -> list[str]:
+    """Each node's table path cell: its path if that has at most _CELL_MAX
+    characters, else "^", its parent's id, "." and its index in the parent."""
+    parent = t.parents()
+    return [
+        path if len(path) <= _CELL_MAX else f"^{parent[v]}.{t.children[parent[v]].index(v)}"
+        for v, path in enumerate(reference_paths(t))
+    ]
+
+
 def reference_table(t) -> str:
     at = annotate(t)
-    paths = list(reference_paths(t))
+    paths = reference_cells(t)
     header = (
         "id",
         "path",
@@ -95,7 +114,14 @@ def assert_writers_match_references(path, text: str) -> None:
         assert out.getvalue() == expected, args
 
 
+def _caterpillar_text(levels: int) -> str:
+    """(U x0 (J x1 (U x2 … end))): a leaf and a nested level per level."""
+    return "".join(f"({'UJ'[i % 2]} x{i} " for i in range(levels)) + "end" + ")" * levels
+
+
 @given(st.sampled_from(("v", "Z_", "_9x")).flatmap(cotrees))
+# 40 levels: paths up to root.1.1…, 84 characters, so both cell forms
+@example(t=parse_cotree(_caterpillar_text(40)))
 @settings(deadline=None, max_examples=150)
 def test_writers_match_reference_renderers(tmp_path_factory, t):
     path = tmp_path_factory.mktemp("render") / "t.cotree"
@@ -180,13 +206,8 @@ class _CountingSink(io.TextIOBase):
 
 def test_annotate_json_on_a_deep_caterpillar(tmp_path):
     levels = 100_000
-    text = (
-        "".join(f"({'UJ'[i % 2]} x{i} " for i in range(levels))
-        + "end"
-        + ")" * levels
-    )
     path = tmp_path / "deep.cotree"
-    path.write_text(text)
+    path.write_text(_caterpillar_text(levels))
     sink = _CountingSink()
     with redirect_stdout(sink):
         rc = main(["annotate", "--json", str(path)])
@@ -214,15 +235,62 @@ def _table_writes(path, text: str) -> list[str]:
     return sink.writes
 
 
+class _LineSink(io.TextIOBase):
+    """Discards what is written; keeps the line count and the widest line."""
+
+    def __init__(self):
+        self.lines = 0
+        self.widest = 0
+        self.open = ""  # the line the last write left unfinished
+
+    def write(self, s: str) -> int:
+        *done, self.open = (self.open + s).split("\n")
+        self.lines += len(done)
+        self.widest = max(self.widest, len(self.open), *map(len, done))
+        return len(s)
+
+
+def test_annotate_table_on_a_deep_caterpillar(tmp_path):
+    levels = 100_000
+    path = tmp_path / "deep.cotree"
+    path.write_text(_caterpillar_text(levels))
+    sink = _LineSink()
+    with redirect_stdout(sink):
+        rc = main(["annotate", str(path)])
+    assert rc == 0
+    assert sink.lines == 1 + 2 * levels + 1  # the header, then a row per node
+    assert sink.open == ""
+    assert sink.widest <= _LINE_MAX
+
+
+def test_table_path_cells_name_the_parent_and_child_index(tmp_path):
+    levels = 2_000
+    writes = _table_writes(tmp_path / "deep.cotree", _caterpillar_text(levels))
+    rows = [line.split()[:2] for line in "".join(writes).splitlines()[1:]]
+    t = normalize(parse_cotree(_caterpillar_text(levels)))
+    parent = t.parents()
+    capped = 0
+    for (v, cell), path in zip(rows, reference_paths(t), strict=True):
+        v = int(v)
+        assert len(cell) <= _CELL_MAX
+        if cell.startswith("^"):
+            p, i = map(int, cell[1:].split("."))
+            assert p == parent[v] and t.children[p][i] == v
+            assert len(path) > _CELL_MAX
+            capped += 1
+        else:
+            assert cell == path
+    assert capped == len(t) - 61  # root, and two nodes per level to depth 30
+
+
 def test_table_batches_are_bounded_by_size(tmp_path):
-    # rows carry paths of up to 2·leaves characters on this caterpillar
+    # a caterpillar's paths reach 2·leaves characters; its cells stay short
     leaves = 1500
-    text = "".join(f"({'UJ'[i % 2]} x{i} " for i in range(leaves - 1))
-    deep = _table_writes(tmp_path / "deep.cotree", text + "end" + ")" * (leaves - 1))
-    assert sum(map(len, deep)) > 4 * _BATCH_CHARS
-    assert max(map(len, deep)) <= _BATCH_CHARS + _BATCH
+    deep = _table_writes(tmp_path / "deep.cotree", _caterpillar_text(leaves - 1))
+    assert all(w.count("\n") <= _BATCH for w in deep)
+    assert max(len(line) for w in deep for line in w.splitlines()) <= _LINE_MAX
+    assert sum(w.count("\n") for w in deep) == 1 + 2 * leaves - 1
     # a shallow tree keeps whole batches of _BATCH rows
     wide = "(J " + " ".join(f"x{i}" for i in range(2 * _BATCH - 1)) + ")"
     writes = _table_writes(tmp_path / "wide.cotree", wide)
-    batches = [w for w in writes[1:] if len(w) > 1]  # not the header or a separator
-    assert [w.count("\n") + 1 for w in batches] == [_BATCH, _BATCH]
+    assert [w.count("\n") for w in writes[1:]] == [_BATCH, _BATCH]  # after the header
