@@ -22,6 +22,10 @@ batch of rows is one ``%`` of the row format repeated.  A path cell is the
 node's path (``root.1.0``) when that has at most 64 characters, and
 ``^<parent id>.<i>`` otherwise, so a table is O(n) characters on a tree of any
 depth.  Mismatch lines keep the full path.
+``annotate`` sweeps the tree as parsed: the sweep is the normalization
+check, raising ``NotNormalizedError`` at an inner node with one child or a
+child of its own kind.  Only then is the tree normalized and swept again, so
+normalized input, the common case, is checked once and not normalized.
 ``annotate --oracle-check`` runs ``verify.check_tree``, the cross-check that
 ``verify`` runs on every corpus tree, and prints each mismatch on stderr as
 ``MISMATCH {predicate} at {path}: oracle {expected}, pass {got}``.
@@ -45,7 +49,7 @@ from itertools import islice
 from . import _DEFERRED, _deferred_getattr
 from .annotate import _FACTS, annotate
 from .cotree import _node_paths, normalize, parse_cotree, to_dot, to_text
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, NotNormalizedError
 
 # The generator, oracle and verify names load on first use (PEP 562), so
 # ``--help``, ``parse`` and ``annotate`` never import those modules.  The
@@ -219,7 +223,7 @@ def _write_table(t, at) -> None:
         len(str(len(t) - 1)),
         path_width,
         max(map(len, t.kinds)),
-        len(str(max(at.size))),
+        len(str(at.size[t.root])),  # the root's is the largest
         yes_no,
         len(str(max(at.gamma))),
         *[yes_no] * 4,
@@ -247,8 +251,16 @@ def cmd_annotate(args) -> int:
         budget = _resolve_budget(args.budget)
     if args.budget is not None and not args.oracle_check:
         print("warning: --budget applies only with --oracle-check", file=sys.stderr)
-    t = normalize(parse_cotree(_read_source(args.file)))
-    at = annotate(t)
+    t = parse_cotree(_read_source(args.file))
+    try:
+        at = annotate(t)
+    except NotNormalizedError:
+        at = None
+    # Normalize only once the block is left: until then the exception's
+    # traceback holds the failed sweep's frame and its seven columns.
+    if at is None:
+        t = normalize(t)
+        at = annotate(t)
     if args.json:
         _write_annotations_json(t, at)
     else:

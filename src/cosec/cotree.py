@@ -11,11 +11,14 @@ Representation notes:
   subtree occupies a contiguous id range.  Bottom-up passes are therefore a
   single reversed loop over ``range(len(tree))``.  ``parse_cotree`` loops
   over one token list, appending a node per leaf or ``(``.  Text in the
-  grammar's alphabet is split on whitespace; any other character sends it
-  through ``re.findall``, which gives the same list where both apply.  A
-  failing parse scans again to find its byte offset.  ``normalize``,
-  ``subtree``, ``union`` and ``join`` copy id ranges with shifted ids.  Only
-  ``from_nested`` reads nested input.
+  grammar's alphabet, checked with ``bytes.translate`` 64 KiB at a time, is
+  split on whitespace; any other character sends it through ``re.findall``,
+  which gives the same list where both apply.  The first such character is
+  then put in the parser's set of seen labels, so the leaf branch needs no
+  alphabet test: the character fails as a duplicate, and only that error
+  path tells the two messages apart.  A failing parse scans again to find
+  its byte offset.  ``normalize``, ``subtree``, ``union`` and ``join`` copy
+  id ranges with shifted ids.  Only ``from_nested`` reads nested input.
 - No recursion, in Python or in C.
 - ``Cotree`` and ``Graph`` values are immutable after construction and safe to
   share between threads.  All operations here are pure functions.
@@ -61,6 +64,10 @@ _TOKEN = re.compile(r"[A-Za-z0-9_]+|[^ \t\r\n]")
 # without one can be split on whitespace; ``str.split`` would also split on
 # "\x0b", "\xa0", "\u2028" and more, which ``_TOKEN`` keeps as tokens.
 _OUTSIDE = re.compile(r"[^A-Za-z0-9_() \t\r\n]")
+# The same alphabet as bytes, which ``bytes.translate`` deletes: an ASCII
+# chunk is in the alphabet when nothing is left of it.
+_GRAMMAR_BYTES = "".join(sorted(_LEAF_CHARS)).encode("ascii") + b"() \t\r\n"
+_CHUNK = 1 << 16
 
 _TRAILING = "trailing content after complete cotree"
 _NO_OPERATOR = "expected operator U or J after '('"
@@ -350,7 +357,7 @@ def parse_cotree(text: str) -> Cotree:
     The tree is returned exactly as written, without normalization.
     Errors report byte offsets into the UTF-8 encoding of ``text``.
     """
-    tokens = _tokenize(text)
+    tokens, outside = _tokenize(text)
     kinds: list[str] = []
     children: list[tuple[int, ...]] = []
     labels: list[str | None] = []
@@ -361,7 +368,7 @@ def parse_cotree(text: str) -> Cotree:
     top = root = []
     stack: list[list[int]] = []
     opened: list[int] = []
-    seen: set[str] = set()
+    seen: set[str] = set() if outside is None else {outside}  # see _tokenize
     steps = iter(tokens)
     for tok in steps:
         if tok == "(":
@@ -386,9 +393,13 @@ def parse_cotree(text: str) -> Cotree:
                 raise _parse_error(text, _EMPTY_NODE, tokens, steps)
             children[opened.pop()] = tuple(top)
             top = stack.pop()
-        elif tok[0] in _LEAF_CHARS:
-            if tok in seen:
-                raise _parse_error(text, f"duplicate leaf label {tok!r}", tokens, steps)
+        elif tok in seen:  # a repeated label, or ``outside``
+            if tok[0] in _LEAF_CHARS:
+                message = f"duplicate leaf label {tok!r}"
+            else:
+                message = f"unexpected character {tok!r}"
+            raise _parse_error(text, message, tokens, steps)
+        else:
             seen.add(tok)
             if top is root and kinds:
                 raise _parse_error(text, _TRAILING, tokens, steps)
@@ -396,8 +407,6 @@ def parse_cotree(text: str) -> Cotree:
             kinds.append(LEAF)
             children.append(())
             labels.append(tok)
-        else:
-            raise _parse_error(text, f"unexpected character {tok!r}", tokens, steps)
     if top is not root:
         raise _parse_error(text, "unexpected end of input: unclosed '('", tokens)
     if not kinds:
@@ -405,12 +414,22 @@ def parse_cotree(text: str) -> Cotree:
     return Cotree(tuple(kinds), tuple(children), tuple(labels))
 
 
-def _tokenize(text: str) -> list[str]:
-    """``_TOKEN.findall(text)``.  Text with only the grammar's characters and
-    its whitespace is split instead, at under half the cost."""
-    if _OUTSIDE.search(text) is None:
-        return text.replace("(", " ( ").replace(")", " ) ").split()
-    return _TOKEN.findall(text)
+def _tokenize(text: str) -> tuple[list[str], str | None]:
+    """``_TOKEN.findall(text)``, and ``_OUTSIDE.search(text)``'s match or None.
+
+    ``bytes.translate`` checks the alphabet one 64 KiB chunk of ASCII text at
+    a time, so one chunk's copy is held, not the text's.  Text inside it is
+    split on whitespace, at under half the cost of matching.  The match is a
+    token of its own, and ``parse_cotree`` puts it in ``seen``: every parse
+    that reaches it fails there, so no leaf token needs an alphabet test."""
+    start = 0
+    if text.isascii():
+        for start in range(0, len(text), _CHUNK):
+            if text[start : start + _CHUNK].encode("ascii").translate(None, _GRAMMAR_BYTES):
+                break
+        else:
+            return text.replace("(", " ( ").replace(")", " ) ").split(), None
+    return _TOKEN.findall(text), _OUTSIDE.search(text, start).group()
 
 
 def _parse_error(

@@ -4,6 +4,7 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from cosec.annotate import annotate, property_p_corrected, property_p_original
@@ -12,8 +13,10 @@ from cosec.cotree import (
     JOIN,
     LEAF,
     UNION,
+    from_nested,
     is_normalized,
     materialize,
+    normalize,
     parse_cotree,
     subtree,
 )
@@ -21,7 +24,8 @@ from cosec.errors import NotAJoinError, NotNormalizedError
 from cosec.generators import GkSpec, g_k
 from cosec.oracles import domination_number, is_complete
 
-from strategies import normalized_cotrees
+from helpers import deep_unnormalized_caterpillar
+from strategies import cotrees, deep_caterpillars, normalized_cotrees
 
 
 def test_g3_root_annotations():
@@ -71,6 +75,63 @@ def test_annotate_rejects_unnormalized_trees():
             annotate(parse_cotree(text))
 
 
+# ``cosec annotate`` sweeps the parsed tree and normalizes only when the sweep
+# refuses it, so the sweep must refuse exactly the trees ``is_normalized`` does.
+
+def _sweep_refuses(t) -> bool:
+    try:
+        annotate(t)
+    except NotNormalizedError:
+        return True
+    return False
+
+
+@given(cotrees())
+@settings(deadline=None, max_examples=300)
+def test_the_sweep_refuses_exactly_the_unnormalized_trees(t):
+    assert _sweep_refuses(t) == (not is_normalized(t))
+    assert not _sweep_refuses(normalize(t))
+
+
+def _rebuilt(t, v: int, change):
+    """``t`` with node ``v``'s nested form replaced by ``change`` of it."""
+    nested = [None] * len(t)
+    for u in range(len(t) - 1, -1, -1):
+        node = t.labels[u] if t.kinds[u] == LEAF else (
+            t.kinds[u], [nested[c] for c in t.children[u]]
+        )
+        nested[u] = change(node) if u == v else node
+    return from_nested(nested[t.root])
+
+
+@given(normalized_cotrees(), st.data())
+@settings(deadline=None, max_examples=300)
+def test_the_sweep_refuses_unary_wrappers_and_same_kind_chains(t, data):
+    assert not _sweep_refuses(t)
+    v = data.draw(st.integers(0, len(t) - 1), label="node")
+    variants = [_rebuilt(t, v, lambda node, k=k: (k, [node])) for k in (UNION, JOIN)]
+    if t.kinds[v] != LEAF:  # under a node of its own kind, with a new sibling
+        variants.append(_rebuilt(t, v, lambda node: (node[0], [node, "w0"])))
+    for variant in variants:
+        assert not is_normalized(variant)
+        assert _sweep_refuses(variant)
+
+
+@given(deep_caterpillars())
+@settings(deadline=None, max_examples=10)
+def test_the_sweep_refuses_exactly_the_unnormalized_deep_caterpillars(caterpillar):
+    t = parse_cotree(caterpillar[0])
+    assert _sweep_refuses(t) == (not is_normalized(t))
+    assert not _sweep_refuses(normalize(t))
+
+
+def test_the_sweep_refuses_a_deep_unnormalized_caterpillar():
+    t = parse_cotree(deep_unnormalized_caterpillar(100_000)[0])
+    assert not is_normalized(t)
+    assert _sweep_refuses(t)
+    assert not _sweep_refuses(normalize(t))
+
+
 def _caterpillar(levels: int, bottom: str) -> str:
     """Alternating U/J spine of ``levels`` inner nodes with one leaf each;
     the bottom node is ``(bottom y z)``."""
@@ -117,14 +178,20 @@ def test_annotate_runs_no_separate_normalization_pass(monkeypatch, tmp_path):
     t = parse_cotree("(J a (U b c) (U d (J e f)))")
     annotate(t)
     assert calls == []
-    # cosec annotate: at most the one check inside normalize
-    for text in ("(J a (U b c) (U d (J e f)))", "(J a (J b (U c d)))"):
+    # cosec annotate: no check on normalized input, whose sweep is the check;
+    # on unnormalized input only the one inside normalize, on the parsed tree
+    for text, checks in (
+        ("(J a (U b c) (U d (J e f)))", []),
+        ("(J a (J b (U c d)))", [7]),
+        ("(U (J a (U b c)))", [6]),
+    ):
         path = tmp_path / "t.cotree"
         path.write_text(text)
         calls.clear()
-        with redirect_stdout(io.StringIO()):
-            assert main(["annotate", str(path)]) == 0
-        assert len(calls) <= 1
+        for args in ([], ["--json"]):
+            with redirect_stdout(io.StringIO()):
+                assert main(["annotate", str(path), *args]) == 0
+        assert calls == checks * 2
 
 
 # ---------------------------------------------------------------------------

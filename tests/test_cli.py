@@ -10,8 +10,8 @@ import pytest
 
 from cosec.annotate import annotate
 from cosec.cli import main
-from cosec.cotree import node_paths, parse_cotree, to_text
-from cosec.generators import GkSpec, g_k
+from cosec.cotree import node_paths, normalize, parse_cotree, to_text
+from cosec.generators import GkSpec, RandomSpec, g_k, random_cotree
 from cosec.oracles import OracleBudget
 from cosec.verify import VerificationReport, check_tree
 
@@ -145,6 +145,43 @@ def test_annotate_normalizes_input(capsys, tmp_path):
     rc, out, _ = run(capsys, "annotate", str(p))
     assert rc == 0
     assert len(out.splitlines()) == 1 + 4  # header + union node + 3 leaves
+
+
+# annotate sweeps the parsed tree and normalizes it only when the sweep
+# refuses it; either way the output is that of the normalized tree.
+@pytest.mark.parametrize("text", [
+    "(U a (U b c))",
+    "(J (J a b))",
+    "(U (J (U a)))",
+    "(U x)",
+    "(J (U c d e) (U (J a1 (J b y)) (U z)))",
+    "(J (U (U c d) (J e)) (U a1 b))",
+])
+def test_annotate_of_unnormalized_text_is_that_of_its_normalized_text(capsys, tmp_path, text):
+    raw, normal = tmp_path / "raw.cotree", tmp_path / "normal.cotree"
+    t = normalize(parse_cotree(text))
+    raw.write_text(text)
+    normal.write_text(to_text(t))
+    for args in ([], ["--json"]):
+        assert run(capsys, "annotate", str(raw), *args) == run(
+            capsys, "annotate", str(normal), *args
+        )
+    rc, out, err = run(capsys, "annotate", str(raw), "--oracle-check")
+    assert rc == 0 and out
+    assert err == f"oracle check: OK ({len(t)} nodes)\n"
+
+
+def test_annotate_of_a_large_normalized_tree_under_a_unary_root(capsys, tmp_path):
+    # The costliest input for sweeping first: the sweep fails only at the
+    # root, after the whole tree, and the tree is then normalized and swept.
+    body = to_text(random_cotree(RandomSpec(leaf_count=100_000, seed=3)))
+    raw, normal = tmp_path / "raw.cotree", tmp_path / "normal.cotree"
+    raw.write_text(f"(U {body})")
+    normal.write_text(body)
+    for args in ([], ["--json"]):
+        rc, out, err = run(capsys, "annotate", str(raw), *args)
+        assert (rc, err) == (0, "")
+        assert (rc, out, err) == run(capsys, "annotate", str(normal), *args)
 
 
 def test_annotate_json_matches_schema(capsys, g1_file):

@@ -177,11 +177,17 @@ def test_every_parse_failure_has_an_in_range_byte_offset(text):
 _ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_() \t\r\n"
 
 
+def reference_tokenize(text: str) -> tuple[list[str], str | None]:
+    """What ``_tokenize`` returns: the regex tokens and ``_OUTSIDE``'s match."""
+    outside = _OUTSIDE.search(text)
+    return _TOKEN.findall(text), None if outside is None else outside.group()
+
+
 @given(st.text(st.sampled_from(_ALPHABET), max_size=60))
 @settings(deadline=None, max_examples=500)
 def test_split_tokens_are_the_regex_tokens_in_the_grammar_alphabet(text):
     assert _OUTSIDE.search(text) is None
-    assert _tokenize(text) == _TOKEN.findall(text)
+    assert _tokenize(text) == reference_tokenize(text) == (_TOKEN.findall(text), None)
 
 
 # Characters the grammar does not allow, among them what ``str.split``
@@ -198,9 +204,56 @@ _OTHERS = st.one_of(
 def test_any_other_character_takes_the_regex_tokens(before, other, after):
     text = before + other + after
     assert _OUTSIDE.search(text) is not None
-    assert _tokenize(text) == _TOKEN.findall(text)
+    assert _tokenize(text) == reference_tokenize(text) == (_TOKEN.findall(text), other)
     text = before + "\u2028" + after
-    assert _tokenize(text) == _TOKEN.findall(text)
+    assert _tokenize(text) == reference_tokenize(text) == (_TOKEN.findall(text), "\u2028")
+
+
+# A tree's text over 64 KiB, so that the alphabet check takes two chunks and
+# part of a third.
+_LONG = "(U " + " ".join(f"x{i}" for i in range(24_000)) + ")"
+
+
+@pytest.mark.parametrize("at", [0, 65535, 65536, 2 * 65536 + 7, len(_LONG) - 2, len(_LONG) - 1])
+@pytest.mark.parametrize("other", ["\x0b", ",", "\x00", "\x7f", "à"])
+def test_a_character_outside_the_alphabet_at_a_chunk_edge(at, other):
+    assert 2 * 65536 < len(_LONG) < 3 * 65536
+    text = _LONG[:at] + other + _LONG[at + 1 :]
+    assert _tokenize(text) == reference_tokenize(text)
+    assert _tokenize(text)[1] == other
+    expected = _outcome(reference_parse_cotree, text)
+    assert not isinstance(expected, Cotree)
+    assert _outcome(parse_cotree, text) == expected
+
+
+def test_a_long_text_in_the_alphabet_is_checked_in_every_chunk():
+    assert _tokenize(_LONG) == reference_tokenize(_LONG) == (_TOKEN.findall(_LONG), None)
+    assert parse_cotree(_LONG) == reference_parse_cotree(_LONG)
+
+
+@pytest.mark.parametrize("text", [
+    "(\x0b a)",  # in the operator slot
+    "(\x0b",
+    "(U a b)\x0b",  # after a complete tree
+    "(U a b) ,",
+    "a ,",
+    "(U a a ,)",  # after a duplicate label
+    "(U a a\x0b b)",
+    "(U a , b \x0b)",  # two different ones: the first wins
+    "(U a \x0b b ,)",
+    "(U a , b à)",
+    "(U a à b ,)",
+    "(U a , b ,)",
+    ", (U a b)",
+    "(U a\x0bb)",
+    "(U a b\x0c",
+    "(U a ))\x0b",
+])
+def test_the_first_character_outside_the_alphabet_keeps_its_error(text):
+    assert _tokenize(text) == reference_tokenize(text)
+    expected = _outcome(reference_parse_cotree, text)
+    assert not isinstance(expected, Cotree)
+    assert _outcome(parse_cotree, text) == expected
 
 
 # Recorded from the parser as it was before the ``str.split`` tokenizer.
