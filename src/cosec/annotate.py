@@ -12,7 +12,7 @@ Facts per node (see :class:`NodeAnnotations`):
 - ``gamma``   domination number of the subtree graph
 - ``label_r``  (union nodes) exactly two children, one with γ = 1 and one
   whose subtree is a clique — the clique flag standing in for γ_s = 1 via
-  the complete ⟺ γ_s = 1 equivalence that the oracle suite validates
+  complete ⟺ γ_s = 1, which ``verify`` checks at every node graph
 - ``union_of_two_cliques``  (union nodes) exactly two children, both cliques
 - ``p_original`` / ``p_corrected``  (join nodes) the two competing
   two-vertex-secure-configuration verdicts; ``p_original`` is knowingly the

@@ -10,12 +10,13 @@ Two kinds of outcome are deliberately kept apart:
   where the published (incorrect) rule contradicts the definitional check
   are exactly what this tool exists to exhibit.
 
-The full γ_s oracle is the one expensive check: it bounds γ_s ≥ γ on the
-whole graph of trees with at most 8 leaves.  Every other check runs on every
-node of every instance and covers every ``annotate`` column: size, γ and the
-clique flag; 𝒫 and ``p_original`` at joins; label ℛ, definitionally and
-structurally, and the union-of-two-cliques flag at unions.  A fact is None
-where it does not apply, so a value the pass puts there is a mismatch.
+The full γ_s oracle is the one expensive check: it bounds γ_s ≥ γ at every
+node whose graph has at most 8 vertices.  Every other check runs on every
+node of every instance and covers every ``annotate`` column: size, γ, the
+clique flag and γ_s = 1 against the clique verdict; 𝒫 and ``p_original`` at
+joins; label ℛ, definitionally and structurally, and the union-of-two-cliques
+flag at unions.  A fact is None where it does not apply, so a value the pass
+puts there is a mismatch.
 
 No tree's graph is built.  Each node's graph gets an id, interned by its
 kind and its children's sorted ids (``_graph_ids``): one id per cograph up to
@@ -48,7 +49,7 @@ from .oracles import (
     secure_domination_number,
 )
 
-_DEEP_CHECK_MAX_LEAVES = 8
+_GAMMA_S_MAX_VERTICES = 8
 
 
 class Mismatch(_Record):
@@ -105,18 +106,17 @@ class _Verdicts:
         self.rows = []  # adjacency rows, laid out as each id's first node
         self.facts = []  # per id: the tuple described in check_tree
         self.label_r = 0  # definitional ℛ evaluations
-        self.gamma_s_is_one, self.gamma_s = {}, {}  # root id -> verdict
 
 
 class VerificationReport(_Record):
     """A run's counts and results; mutable and unhashable.  The private
-    slots (the verdicts, nodes compared and trees given the γ_s check) are
+    slots (the verdicts, nodes compared and nodes given the γ_s check) are
     left out of ``==`` and ``repr``."""
 
     __slots__ = (
         "corpus", "instances", "joins_checked", "unions_checked", "graphs_checked",
         "mismatches", "original_lemma_disagreements", "elapsed_ms",
-        "_verdicts", "_nodes", "_deep_trees",
+        "_verdicts", "_nodes", "_gamma_s_nodes",
     )
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
@@ -133,7 +133,7 @@ class VerificationReport(_Record):
         self.mismatches = [] if mismatches is None else mismatches
         findings = original_lemma_disagreements
         self.original_lemma_disagreements = [] if findings is None else findings
-        self._verdicts, self._nodes, self._deep_trees = _Verdicts(), 0, 0
+        self._verdicts, self._nodes, self._gamma_s_nodes = _Verdicts(), 0, 0
 
     @property
     def ok(self) -> bool:
@@ -181,26 +181,23 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     """Run every oracle cross-check on one normalized cotree; append results.
 
     Every oracle is called from one place here, on graphs the report holds
-    no verdict for.  A tree above the domination cap, or one of at most 8
-    leaves above the secure cap, is refused before any graph is built.  So
-    no γ call can refuse, the root's γ_s check of a small tree refuses first,
-    and a larger tree's label ℛ refuses in the order its node graphs are
-    first seen: children before parents.  A refused tree adds no count,
-    mismatch or finding, but the verdicts first seen in it stay in
-    ``_verdicts``.  Verdicts are keyed by graph id alone: one report, one
-    budget.
+    no verdict for.  A tree above the domination cap is refused before any
+    graph is built, so no γ call can refuse.  γ_s and label ℛ refuse at the
+    first graph above the secure cap in the order node graphs are first
+    seen: children before parents.  A refused tree adds no count, mismatch
+    or finding, but the verdicts first seen in it stay in ``_verdicts``.
+    Verdicts are keyed by graph id alone: one report, one budget.
 
     A graph's facts are (size, γ, clique flag, union of two cliques, 𝒫,
-    structural ℛ, definitional ℛ), None where they do not apply.  A node's
-    rows ``(predicate, expected, got)`` set them against its annotation.
-    The tree is walked only when a row differs or a finding exists: the zip
-    of whole columns compares the same columns as the rows.
+    structural ℛ, definitional ℛ, γ_s = 1, min(γ, γ_s)), None where they do
+    not apply.  γ_s is evaluated only on graphs of at most 8 vertices, and
+    the last fact is γ on larger ones: γ_s ≥ γ holds exactly when it is γ.
+    A node's rows ``(predicate, expected, got)`` set the facts against its
+    annotation, the two γ_s rows first.  The tree is walked only when a row
+    differs or a finding exists: the zip of whole columns compares the same
+    columns as the rows.
     """
-    n = t.n_leaves()
-    deep = n <= _DEEP_CHECK_MAX_LEAVES
-    budget.admit("domination_number", n)  # the largest graph: before building any
-    if deep:  # the root's γ_s would refuse first: so before building any
-        budget.admit("secure_domination_number", n)
+    budget.admit("domination_number", t.n_leaves())  # the largest graph: first
     at = annotate(t)
     known = report._verdicts
     rows, facts = known.rows, known.facts
@@ -208,13 +205,17 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
     def first_sight(key, graph_rows):
         kind, g = key[0], Graph(len(graph_rows), (), graph_rows)
         union, two = kind == UNION, len(key) == 3
+        gamma = domination_number(g, budget)
         facts.append((
-            g.n, domination_number(g, budget), is_complete(g),
+            g.n, gamma, is_complete(g),
             two and facts[key[1]][2] and facts[key[2]][2] if union else None,  # clique pair
             property_p_definitional_graph(g) if kind == JOIN else None,
             label_r_structural_graph(g) if union else None,
             two and label_r_definitional_graphs(graph(key[1]), graph(key[2]), budget)
             if union else None,
+            gamma_s_is_one(g),
+            min(gamma, secure_domination_number(g, budget))
+            if g.n <= _GAMMA_S_MAX_VERTICES else gamma,
         ))
         known.label_r += union and two
 
@@ -222,44 +223,34 @@ def check_tree(t: Cotree, report: VerificationReport, budget: OracleBudget) -> N
         return Graph(len(rows[i]), (), rows[i])
 
     ids = _graph_ids(t, known.ids, rows, first_sight)
-    root = ids[t.root]
-    gamma, complete = facts[root][1:3]
-    at_root = []  # (predicate, expected, got) per mismatch at the root
-    # γ_s = 1 ⟺ complete, via the definitional singleton scan
-    if root not in known.gamma_s_is_one:
-        known.gamma_s_is_one[root] = gamma_s_is_one(graph(root))
-    if known.gamma_s_is_one[root] != complete:
-        at_root.append(("gamma_s_is_one_iff_complete", complete, not complete))
-    if deep:
-        if root not in known.gamma_s:
-            known.gamma_s[root] = secure_domination_number(graph(root), budget)
-        if known.gamma_s[root] < gamma:
-            at_root.append(("gamma_s_lower_bound", f">= {gamma}", "less"))
-
     report.instances += 1
     report.graphs_checked += 1
     report._nodes += len(t)
-    report._deep_trees += deep
+    sizes = map(len, map(rows.__getitem__, ids))  # of the node graphs, not the pass's
+    report._gamma_s_nodes += sum(map(_GAMMA_S_MAX_VERTICES.__ge__, sizes))
     report.joins_checked += t.kinds.count(JOIN)
     report.unions_checked += t.kinds.count(UNION)
     node_facts = list(map(facts.__getitem__, ids))
-    columns = list(zip(at.size, at.gamma, at.is_clique, at.union_of_two_cliques,
-                       at.p_corrected, at.label_r, at.label_r))  # in the facts' order
-    if not at_root and at.p_original == at.p_corrected and node_facts == columns:
+    columns = list(zip(  # in the facts' order
+        at.size, at.gamma, at.is_clique, at.union_of_two_cliques, at.p_corrected,
+        at.label_r, at.label_r, at.is_clique, at.gamma,
+    ))
+    if at.p_original == at.p_corrected and node_facts == columns:
         return  # no mismatch and no finding
     text, paths = to_text(t), node_paths(t)  # the walk reports at least one
 
     def mismatch(predicate, node, expected, got):
         report.mismatches.append(Mismatch(predicate, text, node, paths[node], expected, got))
 
-    for predicate, expected, got in at_root:
-        mismatch(predicate, t.root, expected, got)
     for v, (fact, column, p_orig) in enumerate(zip(node_facts, columns, at.p_original)):
         p_corr = at.p_corrected[v]
         if fact == column and p_orig == p_corr:
             continue  # every row agrees, and p_original is no finding
-        size, gamma, complete, two_cliques, p_defn, r_struct, defn = fact
+        size, gamma, complete, two_cliques, p_defn, r_struct, defn, one, bound = fact
+        lower = f">= {gamma}"
         for predicate, expected, got in (
+            ("gamma_s_is_one_iff_complete", complete, one),  # γ_s = 1 ⟺ complete
+            ("gamma_s_lower_bound", lower, lower if bound == gamma else "less"),
             ("size", size, at.size[v]),
             ("gamma", gamma, at.gamma[v]),
             ("p_corrected", p_defn, p_corr),  # 𝒫, definitionally
@@ -312,6 +303,7 @@ def report_text(report: VerificationReport) -> str:
     known = report._verdicts
     joins = sum(fact[4] is not None for fact in known.facts)
     unions = sum(fact[5] is not None for fact in known.facts)
+    gamma_s = sum(fact[0] <= _GAMMA_S_MAX_VERTICES for fact in known.facts)
     lines = [
         f"corpus: {report.corpus}",
         f"instances checked: {report.instances}",
@@ -324,8 +316,8 @@ def report_text(report: VerificationReport) -> str:
                 ("p_corrected", report.joins_checked, joins),
                 ("label_r_structural", report.unions_checked, unions),
                 ("label_r", report.unions_checked, known.label_r),
-                ("gamma_s_is_one", report.instances, len(known.gamma_s_is_one)),
-                ("gamma_s", report._deep_trees, len(known.gamma_s)),
+                ("gamma_s_is_one", report._nodes, len(known.rows)),
+                ("gamma_s", report._gamma_s_nodes, gamma_s),
             )
         ),
         f"mismatches: {len(report.mismatches)}",

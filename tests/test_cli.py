@@ -327,8 +327,8 @@ def test_oracle_check_prints_the_check_tree_mismatches(capsys, g1_file, monkeypa
 def test_oracle_check_refuses_whole_graph_gamma_s_under_a_small_secure_cap(
     capsys, tmp_path
 ):
-    # g_3 has 7 leaves, so its whole-graph γ_s check runs: above a secure cap
-    # of 5 it is refused, though every per-node check fits the caps
+    # γ_s runs on every node graph of at most 8 vertices: g_3's whole 7-vertex
+    # graph is the one above a secure cap of 5
     p = tmp_path / "g3.cotree"
     p.write_text(to_text(g_k(GkSpec(3))))
     rc, _, err = run(capsys, "annotate", str(p), "--oracle-check", "--budget", "20,5")
@@ -337,6 +337,22 @@ def test_oracle_check_refuses_whole_graph_gamma_s_under_a_small_secure_cap(
         "error: secure_domination_number oracle budget exceeded: "
         "graph has 7 vertices, cap is 5\n"
     )
+
+
+def test_oracle_check_refuses_a_small_node_graph_of_a_large_tree(capsys, tmp_path):
+    # g_5 has 9 leaves, so its whole graph gets no γ_s, but its 6-vertex
+    # (U (J a1 .. a5) b) does, and that is above a secure cap of 5
+    p = tmp_path / "g5.cotree"
+    p.write_text(to_text(g_k(GkSpec(5))))
+    rc, out, err = run(capsys, "annotate", str(p), "--oracle-check", "--budget", "20,5")
+    assert rc == 4
+    assert out == run(capsys, "annotate", str(p))[1]  # the table comes first
+    assert err == (
+        "error: secure_domination_number oracle budget exceeded: "
+        "graph has 6 vertices, cap is 5\n"
+    )
+    rc, _, err = run(capsys, "annotate", str(p), "--oracle-check")  # default caps
+    assert (rc, err) == (0, "oracle check: OK (13 nodes)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +447,7 @@ def test_verify_budget_exits_4(capsys):
         # label ℛ's γ_s = 1 test on an 11-leaf union child of a random tree
         ("20,8", "secure_domination_number oracle budget exceeded: "
                  "graph has 11 vertices, cap is 8"),
-        # the whole-graph γ_s of the first 5-leaf tree, before any per-node check
+        # the γ_s of the first 5-vertex node graph, the first 5-leaf tree's root
         ("12,4", "secure_domination_number oracle budget exceeded: "
                  "graph has 5 vertices, cap is 4"),
     ],

@@ -271,7 +271,7 @@ def test_verification_report_is_mutable_unhashable_and_ignores_private_fields():
     assert report != other and not report.ok
     other.instances = 2
     other.mismatches = [Mismatch("gamma", "(J a b)", 0, "root", 1, 2)]
-    other._nodes, other._deep_trees = 5, 1
+    other._nodes, other._gamma_s_nodes = 5, 1
     other._verdicts.label_r = 3
     assert report == other and repr(report) == repr(other)
     assert "_nodes" not in repr(other) and "_verdicts" not in repr(other)
@@ -284,12 +284,12 @@ def test_verification_report_survives_copy_and_pickle(roundtrip):
     report.original_lemma_disagreements.append(
         OriginalLemmaFinding("(J a b)", 0, "root", False, True)
     )
-    report._nodes, report._deep_trees = 7, 2
+    report._nodes, report._gamma_s_nodes = 7, 2
     report._verdicts.rows.append((0,))
     back = roundtrip(report)
     assert type(back) is VerificationReport
     assert back == report and repr(back) == repr(report)
     assert back.mismatches is not report.mismatches
-    assert (back._nodes, back._deep_trees, back._verdicts.rows) == (7, 2, [(0,)])
+    assert (back._nodes, back._gamma_s_nodes, back._verdicts.rows) == (7, 2, [(0,)])
     back.instances = 4
     assert back != report

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from cosec.annotate import NodeAnnotations
+from cosec.annotate import NodeAnnotations, annotate
 from cosec.cotree import (
     JOIN,
     UNION,
@@ -167,16 +167,16 @@ def test_report_text_counts_comparisons_and_oracle_calls_per_predicate(monkeypat
     assert calls["domination_number"] == calls["is_complete"]
     trees = [*enumerate_cotrees(7), *random_corpus(60, 11, 4)]
     nodes = sum(map(len, trees))
-    deep = sum(t.n_leaves() <= 8 for t in trees)
-    assert 0 < deep < len(trees)
+    small = sum(size <= 8 for t in trees for size in annotate(t).size)  # γ_s nodes
+    assert 0 < small < nodes
     lines = report_text(report).splitlines()
     for predicate, compared, oracle in (
         ("gamma, is_clique", nodes, "domination_number"),
         ("p_corrected", report.joins_checked, "property_p_definitional_graph"),
         ("label_r_structural", report.unions_checked, "label_r_structural_graph"),
         ("label_r", report.unions_checked, "label_r_definitional_graphs"),
-        ("gamma_s_is_one", len(trees), "gamma_s_is_one"),
-        ("gamma_s", deep, "secure_domination_number"),
+        ("gamma_s_is_one", nodes, "gamma_s_is_one"),
+        ("gamma_s", small, "secure_domination_number"),
     ):
         line = f"{predicate}: {compared} compared, {calls[oracle]} oracle evaluations"
         assert line in lines
@@ -290,15 +290,14 @@ def test_each_predicate_line_counts_the_distinct_graphs_it_asked_about():
     joins = [k for t, v, k in nodes if t.kinds[v] == JOIN]
     unions = [k for t, v, k in nodes if t.kinds[v] == UNION]
     two_child = [k for t, v, k in nodes if t.kinds[v] == UNION and len(t.children[v]) == 2]
-    roots = [shape_key(t) for t in trees]
-    deep = [shape_key(t) for t in trees if t.n_leaves() <= 8]
+    small = [k for t, v, k in nodes if subtree(t, v).n_leaves() <= 8]
     expected = [  # graphs up to isomorphism: one oracle run per cograph
         ("gamma, is_clique", len(nodes), len({k for _, _, k in nodes})),
         ("p_corrected", len(joins), len(set(joins))),
         ("label_r_structural", len(unions), len(set(unions))),
         ("label_r", len(unions), len(set(two_child))),
-        ("gamma_s_is_one", len(trees), len(set(roots))),
-        ("gamma_s", len(deep), len(set(deep))),
+        ("gamma_s_is_one", len(nodes), len({k for _, _, k in nodes})),
+        ("gamma_s", len(small), len(set(small))),
     ]
     assert _count_lines(report) == [
         f"{predicate}: {compared} compared, {n} oracle evaluations"
@@ -351,7 +350,8 @@ def test_one_graph_id_per_cograph(n, cographs):
     report = verify_corpora(max_n=n)
     known = report._verdicts
     assert len(known.rows) == cographs == report.instances
-    counts = len(known.rows), len(known.gamma_s), len(known.gamma_s_is_one), known.label_r
+    evaluations = [line.rsplit(", ", 1)[1] for line in _count_lines(report)]
+    assert evaluations[-2:] == [f"{cographs} oracle evaluations"] * 2  # γ_s = 1, γ_s
 
     def no_new_id(key, graph_rows):
         raise AssertionError(f"new graph id for {key}")
@@ -365,9 +365,8 @@ def test_one_graph_id_per_cograph(n, cographs):
         )
         assert len(set(root_ids)) == 1
     assert report.ok and report.instances == cographs + 500
-    assert (
-        len(known.rows), len(known.gamma_s), len(known.gamma_s_is_one), known.label_r
-    ) == counts
+    assert len(known.rows) == cographs
+    assert [line.rsplit(", ", 1)[1] for line in _count_lines(report)] == evaluations
 
 
 def test_report_json_of_a_mixed_corpus_keeps_its_bytes():
@@ -382,41 +381,44 @@ def test_refusals_come_in_the_documented_order():
     message = (
         "secure_domination_number oracle budget exceeded: graph has {} vertices, cap is {}"
     )
+    # γ_s refuses at the first node graph above the secure cap, children before
+    # parents: the 2-vertex (J v2 v3), not the 4-vertex root
     t = parse_cotree("(U (J v0 v1) (J v2 v3))")
     with pytest.raises(BudgetExceededError) as exc_info:
         check_tree(t, VerificationReport(corpus="one tree"), OracleBudget(8, 1))
-    assert str(exc_info.value) == message.format(4, 1)  # the root's γ_s, not ℛ's
-    # a tree of at most 8 leaves above the secure cap builds no graph first
+    assert str(exc_info.value) == message.format(2, 1)
+    # the leaf's graph fits the cap and stays; the refused root's does not
     report = VerificationReport(corpus="one tree")
     with pytest.raises(BudgetExceededError) as exc_info:
         check_tree(parse_cotree("(J a b c d e)"), report, OracleBudget(8, 3))
     assert str(exc_info.value) == message.format(5, 3)
-    assert report._verdicts.rows == [] and report.instances == 0
-    # a larger tree's ℛ refuses in first-seen order, children before parents:
-    # the (J c1 .. c5) child, not the 4-vertex (J a1 .. a4) of an earlier node
+    assert report._verdicts.rows == [(0,)] and report.instances == 0
+    # above 8 vertices no γ_s runs, and ℛ refuses in first-seen order: the
+    # (J c1 .. c10) child, not the 9-vertex (J a1 .. a9) of an earlier node
     t = parse_cotree(
-        "(J (U (J a1 a2 a3 a4) (J (U b1 b2) b3 b4))"
-        " (U (J c1 c2 c3 c4 c5) (J (U d1 d2) d3 d4 d5)))"
+        "(J (U (J a1 a2 a3 a4 a5 a6 a7 a8 a9) (J (U b1 b2) b3 b4))"
+        " (U (J c1 c2 c3 c4 c5 c6 c7 c8 c9 c10) (J (U d1 d2) d3 d4 d5)))"
     )
     report = VerificationReport(corpus="one tree")
     for _ in range(2):  # a refused tree refuses again
         with pytest.raises(BudgetExceededError) as exc_info:
-            check_tree(t, report, OracleBudget(20, 3))
-        assert str(exc_info.value) == message.format(5, 3)
-    check_tree(t, report, OracleBudget())
+            check_tree(t, report, OracleBudget(30, 8))
+        assert str(exc_info.value) == message.format(10, 8)
+    check_tree(t, report, OracleBudget(30, 16))
     assert report.instances == 1 and report.ok
     trees = list(enumerate_cotrees(8))
     for s in range(1, 8):
         report = VerificationReport(corpus="exhaustive <= 8")
         for t in trees:
-            n = t.n_leaves()
-            for _ in range(2 if n > s else 1):  # a refused tree refuses again
+            # children before parents: the last node in pre-order above the cap
+            first = next((n for n in reversed(annotate(t).size) if n > s), None)
+            for _ in range(1 if first is None else 2):  # a refused tree refuses again
                 try:
                     check_tree(t, report, OracleBudget(8, s))
                 except BudgetExceededError as exc:
-                    assert n > s and str(exc) == message.format(n, s)
+                    assert str(exc) == message.format(first, s)
                 else:
-                    assert n <= s
+                    assert first is None
         # a refused tree adds no instance to the report
         assert report.instances == sum(t.n_leaves() <= s for t in trees)
         assert report.ok
@@ -450,10 +452,12 @@ def test_budget_refusals_are_not_cached():
             assert str(exc) == message
             refused = t
             break
-    assert refused is not None
+    assert refused is not None and refused.n_leaves() == 5  # the first 5-vertex graph
+    stored = len(report._verdicts.rows)
     with pytest.raises(BudgetExceededError) as exc_info:
         check_tree(refused, report, budget)
     assert str(exc_info.value) == message
+    assert len(report._verdicts.rows) == stored
 
 
 def _faulty_columns(column, node, value):
@@ -471,52 +475,59 @@ def _faulty_columns(column, node, value):
 
 
 @pytest.mark.parametrize(
-    "text, name, fault, predicate, node, path, expected, got",
+    "text, name, fault, expected",
     [
         (
             "(J (U c d e) (U a1 b))", "gamma_s_is_one", lambda g: True,
-            "gamma_s_is_one_iff_complete", 0, "root", False, True,
+            [  # every node whose graph is not complete
+                ("gamma_s_is_one_iff_complete", 0, "root", False, True),
+                ("gamma_s_is_one_iff_complete", 1, "root.0", False, True),
+                ("gamma_s_is_one_iff_complete", 5, "root.1", False, True),
+            ],
         ),
         (
-            "(J (U c d e) (U a1 b))", "secure_domination_number",
-            lambda g, budget: 1, "gamma_s_lower_bound", 0, "root", ">= 2", "less",
+            "(J (U c d e) (U a1 b))", "secure_domination_number", lambda g, budget: 1,
+            [  # every node with γ > 1
+                ("gamma_s_lower_bound", 0, "root", ">= 2", "less"),
+                ("gamma_s_lower_bound", 1, "root.0", ">= 3", "less"),
+                ("gamma_s_lower_bound", 5, "root.1", ">= 2", "less"),
+            ],
         ),
         (
-            "(J (U a b c) (U d e f))", "annotate",
-            _faulty_columns("p_original", 0, True),
-            "p_original_implies_corrected", 0, "root", True, False,
+            "(J (U a b c) (U d e f))", "annotate", _faulty_columns("p_original", 0, True),
+            [("p_original_implies_corrected", 0, "root", True, False)],
         ),
         (
             "(J (U c d e) (U a1 b))", "annotate", _faulty_columns("is_clique", 1, True),
-            "is_clique", 1, "root.0", False, True,
+            [("is_clique", 1, "root.0", False, True)],
         ),
         (
             "(U (J a b) c)", "annotate", _faulty_columns("label_r", 0, False),
-            "label_r", 0, "root", True, False,
+            [("label_r", 0, "root", True, False)],
         ),
         (
             "(U (J a b) c)", "label_r_structural_graph", lambda g: False,
-            "label_r_structural", 0, "root", True, False,
+            [("label_r_structural", 0, "root", True, False)],
         ),
         (
             "(U a b c)", "label_r_structural_graph", lambda g: True,
-            "label_r_structural", 0, "root", False, True,
+            [("label_r_structural", 0, "root", False, True)],
         ),
         (
             "(J (U c d e) (U a1 b))", "annotate", _faulty_columns("p_corrected", 0, False),
-            "p_corrected", 0, "root", True, False,
+            [("p_corrected", 0, "root", True, False)],
         ),
         (
             "(U (J a b) c)", "annotate", _faulty_columns("gamma", 0, 3),
-            "gamma", 0, "root", 2, 3,
+            [("gamma", 0, "root", 2, 3)],
         ),
         (
             "(U (J a b) c)", "annotate", _faulty_columns("size", 1, 3),
-            "size", 1, "root.0", 2, 3,
+            [("size", 1, "root.0", 2, 3)],
         ),
         (
             "(U (J a b) c)", "annotate", _faulty_columns("union_of_two_cliques", 0, False),
-            "union_of_two_cliques", 0, "root", True, False,
+            [("union_of_two_cliques", 0, "root", True, False)],
         ),
     ],
     ids=[
@@ -526,7 +537,7 @@ def _faulty_columns(column, node, value):
     ],
 )
 def test_each_injected_fault_is_reported_by_its_own_predicate(
-    monkeypatch, text, name, fault, predicate, node, path, expected, got
+    monkeypatch, text, name, fault, expected
 ):
     import cosec.verify
 
@@ -537,7 +548,7 @@ def test_each_injected_fault_is_reported_by_its_own_predicate(
     monkeypatch.setattr(cosec.verify, name, fault)
     report = VerificationReport(corpus="one tree")
     check_tree(t, report, OracleBudget())
-    assert report.mismatches == [Mismatch(predicate, text, node, path, expected, got)]
+    assert report.mismatches == [Mismatch(p, text, *rest) for p, *rest in expected]
 
 
 @pytest.mark.parametrize(
@@ -584,6 +595,8 @@ _G1 = "(J (U c d e) (U a1 b))"
                 ("gamma", 0, "root", 2, 3),
                 ("p_corrected", 0, "root", True, False),
                 ("is_clique", 0, "root", False, True),
+                ("gamma_s_is_one_iff_complete", 1, "root.0", False, True),
+                ("gamma_s_is_one_iff_complete", 5, "root.1", False, True),
             ],
         ),
         (
@@ -591,6 +604,8 @@ _G1 = "(J (U c d e) (U a1 b))"
             {"gamma": 3, "label_r": False, "is_clique": True},
             [
                 ("gamma_s_is_one_iff_complete", 0, "root", False, True),
+                ("gamma_s_is_one_iff_complete", 1, "root.0", False, True),
+                ("gamma_s_is_one_iff_complete", 5, "root.1", False, True),
                 ("gamma", 5, "root.1", 2, 3),
                 ("label_r", 5, "root.1", True, False),
                 ("is_clique", 5, "root.1", False, True),
@@ -625,6 +640,40 @@ def test_faults_at_one_node_and_the_root_are_reported_in_order(
         f"MISMATCH {predicate} at {path}: oracle {want}, pass {got}"
         for predicate, _, path, want, got in expected
     ]
+
+
+def test_a_gamma_s_lie_is_reported_at_every_node_of_its_graph(monkeypatch):
+    import cosec.verify
+
+    real_one, real_gamma_s = cosec.verify.gamma_s_is_one, cosec.verify.secure_domination_number
+    real_annotate = cosec.verify.annotate
+
+    def flipped_cliques(t):  # an is_clique row at every node, after its γ_s row
+        at = real_annotate(t)
+        at.is_clique[:] = [not c for c in at.is_clique]
+        return at
+
+    monkeypatch.setattr(cosec.verify, "gamma_s_is_one", lambda g: real_one(g) != (g.n == 2))
+    monkeypatch.setattr(
+        cosec.verify, "secure_domination_number",
+        lambda g, budget: 0 if g.n == 3 else real_gamma_s(g, budget),
+    )
+    monkeypatch.setattr(cosec.verify, "annotate", flipped_cliques)
+    report = verify_corpora(max_n=6, random_count=100, random_leaves=12, seed=2)
+    expected = []
+    for t in [*enumerate_cotrees(6), *random_corpus(100, 12, 2)]:
+        text, at = to_text(t), real_annotate(t)
+        for v, (size, complete, gamma) in enumerate(zip(at.size, at.is_clique, at.gamma)):
+            if size == 2:
+                expected.append(("gamma_s_is_one_iff_complete", text, v, complete, not complete))
+            if size == 3:
+                expected.append(("gamma_s_lower_bound", text, v, f">= {gamma}", "less"))
+            expected.append(("is_clique", text, v, complete, not complete))
+    got = [(m.predicate, m.cotree, m.node, m.expected, m.got) for m in report.mismatches]
+    assert got == expected
+    assert {p for p, *_ in got} == {
+        "gamma_s_is_one_iff_complete", "gamma_s_lower_bound", "is_clique"
+    }
 
 
 @st.composite
@@ -677,12 +726,28 @@ _FAULTY_REPORT_JSON = """\
       "got": "less"
     },
     {
+      "predicate": "gamma_s_lower_bound",
+      "cotree": "(J (U c d e) (U a1 b))",
+      "node": 1,
+      "path": "root.0",
+      "expected": ">= 3",
+      "got": "less"
+    },
+    {
       "predicate": "is_clique",
       "cotree": "(J (U c d e) (U a1 b))",
       "node": 1,
       "path": "root.0",
       "expected": false,
       "got": true
+    },
+    {
+      "predicate": "gamma_s_lower_bound",
+      "cotree": "(J (U c d e) (U a1 b))",
+      "node": 5,
+      "path": "root.1",
+      "expected": ">= 2",
+      "got": "less"
     }
   ],
   "original_lemma_disagreements": [
