@@ -7,14 +7,17 @@ test-side definition in ``helpers.reference_paths`` and the 64-character cap
 
 import io
 import json
+import os
+import tracemalloc
 from contextlib import redirect_stdout
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from cosec import cli
 from cosec.annotate import _FACTS, AnnotatedCotree, annotate
-from cosec.cli import _BATCH, _write_annotations_json, main
+from cosec.cli import _BATCH, _write_annotations_json, _write_table, _write_tree_json, main
 from cosec.cotree import Cotree, normalize, parse_cotree, to_json, to_text
 from cosec.generators import RandomSpec, random_cotree
 
@@ -294,3 +297,42 @@ def test_table_batches_are_bounded_by_size(tmp_path):
     wide = "(J " + " ".join(f"x{i}" for i in range(2 * _BATCH - 1)) + ")"
     writes = _table_writes(tmp_path / "wide.cotree", wide)
     assert [w.count("\n") for w in writes[1:]] == [_BATCH, _BATCH]  # after the header
+
+
+# A node's output is under 400 characters.  In flight it is a str, its list
+# slot, and its share of the batch's join and of that join's UTF-8 bytes.
+_NODE_IN_FLIGHT = 1024
+# What a writer may hold in flight.  On perfbench's caterpillar a batch of 4096
+# JSON records (3.5 MB traced) lifted `cosec annotate --json`'s peak RSS 3-4 MB
+# over what the command holds after `annotate`; a batch of 1024 (0.9 MB) did not.
+_IN_FLIGHT_MAX = 1 << 20
+
+
+def _traced_peak(write) -> int:
+    """The traced peak of ``write()`` with stdout an encoding file on devnull."""
+    with open(os.devnull, "w", encoding="utf-8") as sink, redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            write()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_writers_hold_one_batch_in_flight(monkeypatch):
+    t = normalize(parse_cotree(_caterpillar_text(50_000)))
+    at = annotate(t)
+    assert len(t) >= 10**5
+    in_flight = {
+        "annotate --json": _traced_peak(lambda: _write_annotations_json(t, at)),
+        "parse --json": _traced_peak(lambda: _write_tree_json(t)),
+    }
+    # The table also holds what no batch size changes: _node_paths' two
+    # per-node lists and, on a caterpillar, a rest cell per inner node.  That
+    # share is its peak with a batch of 16 rows.
+    table = _traced_peak(lambda: _write_table(t, at))
+    monkeypatch.setattr(cli, "_BATCH", 16)
+    in_flight["annotate"] = table - _traced_peak(lambda: _write_table(t, at))
+    for writer, peak in in_flight.items():
+        assert peak <= _BATCH * _NODE_IN_FLIGHT, writer  # by the batch, not by n
+        assert peak <= _IN_FLIGHT_MAX, writer
