@@ -31,7 +31,8 @@ print("leaves:       ", [t.labels[v] for v in t.leaves()])
 tn = normalize(t)
 print("normalized:   ", to_text(tn))
 
-# Materializing walks the tree once: two vertices are adjacent exactly when
+# Materializing makes two linear passes, leaf sets bottom up and the vertices
+# each node is joined to top down: two vertices are adjacent exactly when
 # their lowest common ancestor is a join.
 g = materialize(tn)
 print("vertices:     ", g.n)

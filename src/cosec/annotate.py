@@ -42,14 +42,9 @@ class NodeAnnotations(_Record):
         self, size: int, is_clique: bool, gamma: int, label_r: bool | None,
         union_of_two_cliques: bool | None, p_original: bool | None, p_corrected: bool | None,
     ):
-        set_size, set_clique, set_gamma, set_lr, set_u2c, set_po, set_pc = self._setters
-        set_size(self, size)
-        set_clique(self, is_clique)
-        set_gamma(self, gamma)
-        set_lr(self, label_r)
-        set_u2c(self, union_of_two_cliques)
-        set_po(self, p_original)
-        set_pc(self, p_corrected)
+        self._store(
+            (size, is_clique, gamma, label_r, union_of_two_cliques, p_original, p_corrected)
+        )
 
     @property
     def gamma_is_one(self) -> bool:
@@ -96,17 +91,9 @@ class AnnotatedCotree(_Record):
         label_r: list[bool | None], union_of_two_cliques: list[bool | None],
         p_original: list[bool | None], p_corrected: list[bool | None],
     ):
-        set_tree, set_size, set_clique, set_gamma, set_lr, set_u2c, set_po, set_pc = (
-            self._setters
+        self._store(
+            (tree, size, is_clique, gamma, label_r, union_of_two_cliques, p_original, p_corrected)
         )
-        set_tree(self, tree)
-        set_size(self, size)
-        set_clique(self, is_clique)
-        set_gamma(self, gamma)
-        set_lr(self, label_r)
-        set_u2c(self, union_of_two_cliques)
-        set_po(self, p_original)
-        set_pc(self, p_corrected)
 
     def __len__(self) -> int:
         return len(self.tree)

@@ -44,6 +44,7 @@ import argparse
 import gc
 import os
 import sys
+from functools import partial
 from itertools import islice
 
 from . import _DEFERRED, _deferred_getattr
@@ -143,22 +144,28 @@ def _write_batched(head: str, parts, sep: str, tail: str) -> None:
     write(tail)
 
 
-class _JsonIds(dict):
-    """``ids[len(c)] % c`` lays out a node's id tuple ``c`` as ``json.dumps(indent=2)``
-    lays out a node field.  A template is made at an arity's first use; each
-    writer call has its own, so no template outlives the output it laid out."""
+class _Memo(dict):
+    """``memo[key]`` is ``make(key)``, made at the key's first use and kept.  Each
+    writer call has its own memos, so nothing made outlives the output it laid out."""
 
-    def __missing__(self, arity: int) -> str:
-        fmt = self[arity] = (
-            "[\n        " + ",\n        ".join(["%d"] * arity) + "\n      ]" if arity else "[]"
-        )
-        return fmt
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _json_ids(arity: int) -> str:
+    """``_json_ids(len(c)) % c`` lays out a node's id tuple ``c`` as
+    ``json.dumps(indent=2)`` lays out a node field."""
+    return "[\n        " + ",\n        ".join(["%d"] * arity) + "\n      ]" if arity else "[]"
 
 
 def _write_tree_json(t) -> None:
     """``print(json.dumps(to_json(t), indent=2))``.  Labels come from
     ``parse_cotree``, whose ``[A-Za-z0-9_]`` alphabet needs no JSON escaping."""
-    kinds, labels, children, ids = t.kinds, t.labels, t.children, _JsonIds()
+    kinds, labels, children, ids = t.kinds, t.labels, t.children, _Memo(_json_ids)
 
     def node(v: int) -> str:
         label = "null" if labels[v] is None else f'"{labels[v]}"'
@@ -177,7 +184,7 @@ def _write_annotations_json(t, at) -> None:
     whose (kind, children, *facts) is ``==`` to ``_LEAF_NODE`` is its id plus
     ``_LEAF_JSON``; the others are formatted field by field.  Like the lookups in
     ``_JSON_LITERAL``, ``==`` trusts the column types: an ``is_clique`` of 1 is True."""
-    lit, ids = _JSON_LITERAL, _JsonIds()
+    lit, ids = _JSON_LITERAL, _Memo(_json_ids)
     records = zip(t.kinds, t.children, *[getattr(at, name) for name in _FACTS])
 
     def nodes():
@@ -200,23 +207,12 @@ def _write_annotations_json(t, at) -> None:
     _write_batched(head, nodes(), ",\n", "\n  ]\n}\n")
 
 
-class _TableRests(dict):
-    """``rests[key]`` is the table's last cell, kind to p_corrected, of a node
-    whose ``(kind, size, *facts)`` is ``key``: formatted by ``fmt`` at the key's
-    first use and cut of its trailing padding."""
-
-    __slots__ = ("fmt",)
-
-    def __init__(self, fmt: str):
-        super().__init__()
-        self.fmt = fmt
-
-    def __missing__(self, key: tuple) -> str:
-        kind, size, clique, gamma, *tail = key
-        cell = self[key] = (
-            self.fmt % (kind, size, _CELL[clique], gamma, *map(_CELL.__getitem__, tail))
-        ).rstrip()
-        return cell
+def _table_rest(fmt: str, key: tuple) -> str:
+    """The table's last cell, kind to p_corrected, of a node whose
+    ``(kind, size, *facts)`` is ``key``: formatted by ``fmt`` and cut of its
+    trailing padding."""
+    kind, size, clique, gamma, *tail = key
+    return (fmt % (kind, size, _CELL[clique], gamma, *map(_CELL.__getitem__, tail))).rstrip()
 
 
 def _write_table(t, at) -> None:
@@ -241,7 +237,7 @@ def _write_table(t, at) -> None:
     write = sys.stdout.write
     write(row % (*_TABLE_HEADER[:2], (rest % tuple(_TABLE_HEADER[2:])).rstrip()))
     rests = map(
-        _TableRests(rest).__getitem__,
+        _Memo(partial(_table_rest, rest)).__getitem__,
         zip(t.kinds, *[getattr(at, name) for name in _FACTS]),
     )
     for lo in range(0, len(t), _BATCH):

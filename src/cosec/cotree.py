@@ -80,9 +80,10 @@ _PATH_CELL_MAX = 64  # the widest path cell of the annotate table; see _node_pat
 class _Record:
     """Base of the record types: ``__slots__`` classes compared, hashed and
     shown (``Name(field=value, ...)``) by their public slots, ``_fields``.
-    ``__init__`` stores each slot through ``_setters``, past the
-    ``__setattr__`` that refuses every later assignment; a mutable subclass
-    restores ``__setattr__`` and ``__delattr__`` and unsets ``__hash__``."""
+    ``_store(values)``, also ``__setstate__``, is the one writer of slots, past
+    the refusing ``__setattr__``: each typed ``__init__`` ends in it, values in
+    slot order, and unpickling passes it ``__getstate__``'s list.  A mutable
+    subclass restores ``__setattr__`` and ``__delattr__`` and unsets ``__hash__``."""
 
     __slots__ = ()
 
@@ -115,9 +116,11 @@ class _Record:
     def __getstate__(self) -> list:  # every slot, private ones included
         return [getattr(self, name) for name in self.__slots__]
 
-    def __setstate__(self, state: list) -> None:
-        for set_slot, value in zip(self._setters, state):
+    def _store(self, values) -> None:
+        for set_slot, value in zip(self._setters, values):
             set_slot(self, value)
+
+    __setstate__ = _store
 
 
 class Cotree(_Record):
@@ -139,11 +142,7 @@ class Cotree(_Record):
         self, kinds: tuple[str, ...], children: tuple[tuple[int, ...], ...],
         labels: tuple[str | None, ...], root: int = 0,
     ):
-        set_kinds, set_children, set_labels, set_root = self._setters
-        set_kinds(self, kinds)
-        set_children(self, children)
-        set_labels(self, labels)
-        set_root(self, root)
+        self._store((kinds, children, labels, root))
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -217,10 +216,7 @@ class Graph(_Record):
     __slots__ = ("n", "labels", "adj")
 
     def __init__(self, n: int, labels: tuple[str, ...], adj: tuple[int, ...]):
-        set_n, set_labels, set_adj = self._setters
-        set_n(self, n)
-        set_labels(self, labels)
-        set_adj(self, adj)
+        self._store((n, labels, adj))
 
     @property
     def full_mask(self) -> int:

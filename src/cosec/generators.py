@@ -19,7 +19,7 @@ class GkSpec(_Record):
     def __init__(self, k: int):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._setters[0](self, k)
+        self._store((k,))
 
 
 class RandomSpec(_Record):
@@ -30,10 +30,7 @@ class RandomSpec(_Record):
             raise ValueError(f"leaf_count must be >= 1, got {leaf_count}")
         if max_arity < 2:
             raise ValueError(f"max_arity must be >= 2, got {max_arity}")
-        set_leaf_count, set_seed, set_max_arity = self._setters
-        set_leaf_count(self, leaf_count)
-        set_seed(self, seed)
-        set_max_arity(self, max_arity)
+        self._store((leaf_count, seed, max_arity))
 
 
 def g_k(spec: GkSpec) -> Cotree:

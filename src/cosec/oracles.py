@@ -68,9 +68,7 @@ class OracleBudget(_Record):
             raise ValueError("budget caps must be positive")
         if max_vertices_secure > max_vertices_domination:
             raise ValueError("secure cap must not exceed domination cap")
-        set_domination, set_secure = self._setters
-        set_domination(self, max_vertices_domination)
-        set_secure(self, max_vertices_secure)
+        self._store((max_vertices_domination, max_vertices_secure))
 
     def admit(self, check: str, n: int) -> None:
         """Refuse an n-vertex graph above the cap that governs ``check``: the

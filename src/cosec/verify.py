@@ -58,13 +58,7 @@ class Mismatch(_Record):
     def __init__(
         self, predicate: str, cotree: str, node: int, path: str, expected: object, got: object
     ):
-        set_predicate, set_cotree, set_node, set_path, set_expected, set_got = self._setters
-        set_predicate(self, predicate)
-        set_cotree(self, cotree)
-        set_node(self, node)
-        set_path(self, path)
-        set_expected(self, expected)
-        set_got(self, got)
+        self._store((predicate, cotree, node, path, expected, got))
 
     def __str__(self) -> str:
         return (
@@ -81,12 +75,7 @@ class OriginalLemmaFinding(_Record):
     def __init__(
         self, cotree: str, node: int, path: str, p_original: bool, definitional: bool
     ):
-        set_cotree, set_node, set_path, set_p_original, set_definitional = self._setters
-        set_cotree(self, cotree)
-        set_node(self, node)
-        set_path(self, path)
-        set_p_original(self, p_original)
-        set_definitional(self, definitional)
+        self._store((cotree, node, path, p_original, definitional))
 
     def __str__(self) -> str:
         return (
