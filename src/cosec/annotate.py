@@ -24,8 +24,6 @@ so a report cannot conflate "fails the predicate" with "predicate undefined".
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .cotree import JOIN, LEAF, UNION, Cotree, _Record
 from .errors import NotAJoinError, NotNormalizedError
 
@@ -46,36 +44,8 @@ class NodeAnnotations(_Record):
             (size, is_clique, gamma, label_r, union_of_two_cliques, p_original, p_corrected)
         )
 
-    @property
-    def gamma_is_one(self) -> bool:
-        return self.gamma == 1
-
 
 _FACTS = NodeAnnotations._fields
-
-
-class _AnnView(Mapping):
-    """Read-only NodeId → NodeAnnotations mapping, built on demand.
-
-    Annotations live in parallel arrays; materializing a record per node
-    up front would dominate the runtime on million-node trees.
-    """
-
-    __slots__ = ("_at",)
-
-    def __init__(self, at: "AnnotatedCotree"):
-        self._at = at
-
-    def __getitem__(self, v: int) -> NodeAnnotations:
-        if not 0 <= v < len(self._at.tree):
-            raise KeyError(v)
-        return self._at.node(v)
-
-    def __iter__(self):
-        return iter(range(len(self._at.tree)))
-
-    def __len__(self) -> int:
-        return len(self._at.tree)
 
 
 class AnnotatedCotree(_Record):
@@ -94,13 +64,6 @@ class AnnotatedCotree(_Record):
         self._store(
             (tree, size, is_clique, gamma, label_r, union_of_two_cliques, p_original, p_corrected)
         )
-
-    def __len__(self) -> int:
-        return len(self.tree)
-
-    @property
-    def ann(self) -> Mapping:
-        return _AnnView(self)
 
     def node(self, v: int) -> NodeAnnotations:
         return NodeAnnotations(*(getattr(self, name)[v] for name in _FACTS))

@@ -147,9 +147,6 @@ class Cotree(_Record):
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def is_leaf(self, v: int) -> bool:
-        return self.kinds[v] == LEAF
-
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v, k in enumerate(self.kinds) if k == LEAF)
 
@@ -222,16 +219,6 @@ class Graph(_Record):
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def closed_mask(self, v: int) -> int:
-        """Closed neighborhood of v as a bitmask."""
-        return self.adj[v] | (1 << v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -244,12 +231,6 @@ class Graph(_Record):
     def edge_labels(self) -> set[frozenset[str]]:
         """Edge set keyed by leaf labels; the label-matched equality used in tests."""
         return {frozenset((self.labels[u], self.labels[v])) for u, v in self.edges()}
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownLeafError(label) from None
 
 
 def iter_set_bits(mask: int) -> Iterator[int]:

@@ -10,7 +10,7 @@ class CotreeParseError(ValueError):
 
 
 class UnknownLeafError(KeyError):
-    """A leaf label was looked up that does not occur in the tree/graph."""
+    """A leaf label was looked up that does not occur in the tree."""
 
 
 class NotAJoinError(ValueError):

@@ -230,7 +230,7 @@ def gamma_is_one(g: Graph) -> bool:
     needs no budget.
     """
     full = g.full_mask
-    return any(g.closed_mask(v) == full for v in range(g.n))
+    return any(row | 1 << v == full for v, row in enumerate(g.adj))
 
 
 def gamma_s_is_one(g: Graph) -> bool:

@@ -192,23 +192,27 @@ def test_criterion_6_smallest_counterexample_search():
 def _median_annotate_seconds(
     *leaf_counts: int, repeats: int = 5
 ) -> list[tuple[float, int]]:
-    """Median ``annotate`` time and node count per tree size.
+    """Median per-call ``annotate`` time and node count per tree size.
 
     Every tree is built and annotated once before any is timed, so all are
-    timed in the same heap.  The timed calls alternate between the sizes,
-    with garbage collected before each, so a change of host load during the
-    test reaches every size alike rather than one median alone.
+    timed in the same heap.  The timed samples alternate between the sizes,
+    with garbage collected before each.  A smaller tree is annotated back to
+    back as many times as its leaf count divides the largest's, so every
+    sample spans about the same wall time and a burst of host load reaches
+    every size alike rather than the longest call alone.
     """
     trees = [random_cotree(RandomSpec(leaf_count=n, seed=7)) for n in leaf_counts]
     for t in trees:
         annotate(t)  # warmup so allocator and cache effects do not skew the ratio
+    calls = [max(leaf_counts) // n for n in leaf_counts]
     times = [[] for _ in trees]
     for _ in range(repeats):
-        for t, timed in zip(trees, times):
+        for t, k, timed in zip(trees, calls, times):
             gc.collect()
             start = time.perf_counter()
-            annotate(t)
-            timed.append(time.perf_counter() - start)
+            for _ in range(k):
+                annotate(t)
+            timed.append((time.perf_counter() - start) / k)
     return [(statistics.median(timed), len(t)) for t, timed in zip(trees, times)]
 
 

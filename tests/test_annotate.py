@@ -34,7 +34,6 @@ def test_g3_root_annotations():
     assert root.size == 7
     assert root.is_clique is False
     assert root.gamma == 2
-    assert root.gamma_is_one is False
 
 
 def test_gk_right_union_child_is_r_labeled_two_clique_union():
@@ -49,7 +48,7 @@ def test_gk_right_union_child_is_r_labeled_two_clique_union():
 def test_triangle_is_clique_with_gamma_one():
     at = annotate(parse_cotree("(J a b c)"))
     a = at.node(0)
-    assert a.is_clique is True and a.gamma == 1 and a.gamma_is_one
+    assert a.is_clique is True and a.gamma == 1
 
 
 def test_single_leaf_annotates_trivially():
@@ -257,9 +256,8 @@ def test_annotation_invariants_hold_corpus_wide(exhaustive8):
         for v in range(len(t)):
             a = at.node(v)
             kind = t.kinds[v]
-            assert a.gamma_is_one == (a.gamma == 1)
             if a.is_clique:
-                assert a.gamma_is_one
+                assert a.gamma == 1
             if kind == UNION:
                 assert a.label_r is not None and a.union_of_two_cliques is not None
                 if a.union_of_two_cliques:
@@ -301,16 +299,6 @@ def test_is_clique_matches_oracle_at_every_node(t):
 
 # ---------------------------------------------------------------------------
 # container plumbing
-
-def test_ann_mapping_view():
-    t = g_k(GkSpec(1))
-    at = annotate(t)
-    assert len(at.ann) == len(t) == len(at)
-    assert list(at.ann) == list(range(len(t)))
-    assert at.ann[0] == at.node(0)
-    with pytest.raises(KeyError):
-        at.ann[len(t)]
-
 
 def test_json_nodes_schema():
     at = annotate(g_k(GkSpec(1)))

@@ -643,6 +643,27 @@ def test_cli_resolves_every_name_the_tracer_reads():
     assert proc.returncode == 0, proc.stderr
 
 
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+
+
+def test_tracer_runs_on_the_current_members(tmp_path):
+    # the tracer rebinds AnnotatedCotree.node and to_json_nodes by name, so a
+    # deleted or renamed member fails here rather than only in a traced bench
+    source = tmp_path / "g2.cotree"
+    source.write_text(to_text(g_k(GkSpec(2))) + "\n")
+    spans = tmp_path / "spans.json"
+    proc = _python(str(TRACER), str(spans), "--", "annotate", str(source))
+    assert proc.returncode == 0, proc.stderr
+    names = json.loads(spans.read_text())["names"]
+    assert {"annotate.node_view", "annotate.to_json_nodes"} <= set(names)
+    peaks = tmp_path / "alloc.json"
+    proc = _python(
+        str(TRACER), str(peaks), "--alloc", "--", "verify", "--max-n", "4", "--json"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verify.verify_corpora" in json.loads(peaks.read_text())["alloc_peak_bytes"]
+
+
 def test_handlers_call_the_deferred_names_through_the_module(capsys, monkeypatch):
     import cosec.cli
 

@@ -43,7 +43,7 @@ P3 = parse_cotree("(J b (U a c))")  # path a - b - c
 
 
 def _named_mask(g, *labels):
-    return as_mask(g, (g.index_of(x) for x in labels))
+    return as_mask(g, (g.labels.index(x) for x in labels))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ def test_p3_endpoint_does_not_dominate():
 
 def test_vertex_sets_can_be_iterables_or_masks():
     g = materialize(P3)
-    b = g.index_of("b")
+    b = g.labels.index("b")
     assert is_dominating(g, {b})
     assert is_dominating(g, [b])
     assert is_dominating(g, 1 << b)
